@@ -6,13 +6,19 @@ p-part of a cokernel with its pairing works modulo p^(2k) for an exponent
 cap k: the pairing of a p-part with exponent p^e is determined by the
 matrix entries modulo p^(2e), so every group below the cap is resolved
 exactly, and anything at or beyond the cap is flagged CapExceeded rather
-than silently truncated.
+than silently truncated.  The reduction runs on numpy int64 residue arrays
+while n * p^(2K) < 2^62 (K = 2k, n the matrix size), which bounds every
+product and dot product it forms; beyond that the same code runs on
+object arrays of Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from . import rng
 from .errors import UnbalancedDistribution
 from .graphs import ERParams, Graph, laplacian, sample_er
@@ -38,83 +44,87 @@ class CapExceeded:
 # p-adic Smith form mod p^(2k)
 
 
-def _padic_snf(a, nrows, ncols, p, big_k, want_u, want_v):
-    """Diagonalize a (list of row lists, entries reduced mod p^big_k) in place.
+def _residues(rows, shape, mod):
+    """rows (integers of any size) as an array of residues mod `mod`.
+
+    The dtype is int64 while n * mod^2 < 2^62 (n the larger dimension), which
+    bounds every product and every length-n dot product the reduction and the
+    Gram form; past that it is object, i.e. the same code on Python ints.
+    """
+    if max(shape) * mod * mod >= 2**62:
+        return np.array(rows, dtype=object).reshape(shape) % mod
+    try:
+        return np.array(rows, dtype=np.int64).reshape(shape) % mod
+    except OverflowError:  # entries beyond int64; their residues fit
+        return (np.array(rows, dtype=object).reshape(shape) % mod).astype(np.int64)
+
+
+def _least_valuation(block, p, big_k):
+    """(e, i, j): the first row-major entry of least p-adic valuation e in
+    block (residues mod p^big_k), or None when the block is zero."""
+    for e in range(big_k):
+        hits = block % p ** (e + 1) != 0
+        if hits.any():
+            i, j = divmod(int(hits.argmax()), block.shape[1])
+            return e, i, j
+    return None
+
+
+def _padic_snf(a, p, big_k, want_u, want_v):
+    """Diagonalize the residue array a (mod p^big_k, from _residues) in place.
 
     Returns (exponents, u, v): u a v = diag(p^e) mod p^big_k with unimodular
-    transforms; exponents only for pivots resolved below big_k, ascending.
-    Remaining rows and columns are zero mod p^big_k.
+    transforms (arrays, or None when not wanted); exponents only for pivots
+    resolved below big_k, ascending.  Remaining rows and columns are zero mod
+    p^big_k.  Left of the pivot column the active rows are already zero, so
+    row updates touch only the active columns.
     """
+    nrows, ncols = a.shape
     mod = p**big_k
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_u else None
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_v else None
+    u = np.eye(nrows, dtype=a.dtype) if want_u else None
+    v = np.eye(ncols, dtype=a.dtype) if want_v else None
     exps = []
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        best_i = best_j = -1
-        best_v = big_k
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x:
-                    vv = 0
-                    while x % p == 0:
-                        x //= p
-                        vv += 1
-                    if vv < best_v:
-                        best_i, best_j, best_v = i, j, vv
-                        if vv == 0:
-                            break
-            if best_v == 0:
-                break
-        if best_i < 0:
+    for t in range(min(nrows, ncols)):
+        pivot = _least_valuation(a[t:, t:], p, big_k)
+        if pivot is None:
             break
-        if best_i != t:
-            a[t], a[best_i] = a[best_i], a[t]
+        e, i, j = pivot
+        if i:
+            a[[t, t + i]] = a[[t + i, t]]
             if u is not None:
-                u[t], u[best_i] = u[best_i], u[t]
-        if best_j != t:
-            for row in a:
-                row[t], row[best_j] = row[best_j], row[t]
+                u[[t, t + i]] = u[[t + i, t]]
+        if j:
+            a[:, [t, t + j]] = a[:, [t + j, t]]
             if v is not None:
-                for row in v:
-                    row[t], row[best_j] = row[best_j], row[t]
-
-        pk = p**best_v
-        unit = a[t][t] // pk
-        inv = pow(unit, -1, mod)
+                v[:, [t, t + j]] = v[:, [t + j, t]]
+        pk = p**e
+        inv = pow(int(a[t, t]) // pk, -1, mod)
         if inv != 1:
-            a[t] = [x * inv % mod for x in a[t]]
+            a[t, t:] = a[t, t:] * inv % mod
             if u is not None:
-                u[t] = [x * inv % mod for x in u[t]]
-        at = a[t]
-        for i in range(t + 1, nrows):
-            x = a[i][t]
-            if x:
-                q = x // pk
-                ai = a[i]
-                a[i] = [(y - q * z) % mod for y, z in zip(ai, at)]
-                if u is not None:
-                    ut = u[t]
-                    ui = u[i]
-                    u[i] = [(y - q * z) % mod for y, z in zip(ui, ut)]
-        for j in range(t + 1, ncols):
-            x = at[j]
-            if x:
-                q = x // pk
-                at[j] = 0
-                if v is not None:
-                    for row in v:
-                        row[j] = (row[j] - q * row[t]) % mod
-        exps.append(best_v)
-        t += 1
+                u[t] = u[t] * inv % mod
+        q = a[t + 1 :, t] // pk
+        a[t + 1 :, t:] = (a[t + 1 :, t:] - np.outer(q, a[t, t:])) % mod
+        if u is not None:
+            u[t + 1 :] = (u[t + 1 :] - np.outer(q, u[t])) % mod
+        q = a[t, t + 1 :] // pk
+        a[t, t + 1 :] = 0
+        if v is not None:
+            v[:, t + 1 :] = (v[:, t + 1 :] - np.outer(v[:, t], q)) % mod
+        exps.append(e)
     return exps, u, v
 
 
-def _reduce_rows(m_rows, mod):
-    return [[x % mod for x in row] for row in m_rows]
+def _scaled_gram(w, m, p, exps, mod):
+    """Scaled Gram block of the generator rows w (orders p^exps, descending)
+    under the symmetric residue array m: entry (a, b) is w_a m w_b^T mod
+    p^(e_a + e_b), rescaled to the common denominator p^exps[0].  The
+    division is exact because the value is killed by both generator orders.
+    """
+    g = w @ (m @ w.T % mod) % mod
+    e = np.array(exps, dtype=w.dtype)
+    den = p ** (e[:, None] + e[None, :])
+    return tuple(map(tuple, (g % den * p ** exps[0] // den).tolist()))
 
 
 def sylow_paired_group(
@@ -137,10 +147,9 @@ def sylow_paired_group(
     n = len(m_rows)
     big_k = 2 * cap
     mod = p**big_k
-    work = _reduce_rows(m_rows, mod)
-    orig = _reduce_rows(m_rows, mod)
+    m = _residues(m_rows, (n, n), mod)
     want_u = side == "dual"
-    exps, u, v = _padic_snf(work, n, n, p, big_k, want_u, not want_u)
+    exps, u, v = _padic_snf(m.copy(), p, big_k, want_u, not want_u)
     unresolved = n - len(exps)
     if unresolved > free_rank:
         return CapExceeded(p, f"{unresolved} unresolved invariants beyond known free rank {free_rank}")
@@ -153,29 +162,11 @@ def sylow_paired_group(
         group = FinAbGroup.trivial()
         return group, PairingGram(group, ())
     tor.reverse()  # canonical order: exponents descending
-    vecs = []
-    for i, _ in tor:
-        if want_u:
-            vecs.append(u[i])
-        else:
-            vecs.append([row[i] for row in v])
-    mv = [[sum(a * b for a, b in zip(row, vec)) % mod for row in orig] for vec in vecs]
-    r = len(tor)
-    lam1 = tor[0][1]
-    block = []
-    for ai in range(r):
-        row = []
-        for bj in range(r):
-            den = p ** (tor[ai][1] + tor[bj][1])
-            num = sum(a * b for a, b in zip(vecs[ai], mv[bj])) % den
-            # rescale to the common denominator p^lam1; division is exact
-            # because the value is killed by both generator orders
-            row.append(num * p**lam1 // den)
-        block.append(tuple(row))
+    idx = [i for i, _ in tor]
     lam = tuple(e for _, e in tor)
+    block = _scaled_gram(u[idx] if want_u else v[:, idx].T, m, p, lam, mod)
     group = FinAbGroup.from_prime_types({p: lam})
-    gram = gram_from_scaled_blocks(group, {p: tuple(block)})
-    return group, gram
+    return group, gram_from_scaled_blocks(group, {p: block})
 
 
 def quotient_dual_pairing(pres_rows, sym_rows, p, k):
@@ -192,27 +183,15 @@ def quotient_dual_pairing(pres_rows, sym_rows, p, k):
     w = len(pres_rows[0]) if h else 0
     big_k = 2 * k
     mod = p**big_k
-    work = _reduce_rows(pres_rows, mod)
-    exps, u, _ = _padic_snf(work, h, w, p, big_k, True, False)
+    exps, u, _ = _padic_snf(_residues(pres_rows, (h, w), mod), p, big_k, True, False)
     mus = [min(e, k) for e in exps] + [k] * (h - len(exps))
     gens = [(i, mu) for i, mu in enumerate(mus) if mu >= 1]
     if not gens:
         return None, None
     gens.sort(key=lambda t: (-t[1], -t[0]))
-    sym = _reduce_rows(sym_rows, mod)
-    vecs = [u[i] for i, _ in gens]
-    mv = [[sum(a * b for a, b in zip(row, vec)) % mod for row in sym] for vec in vecs]
-    r = len(gens)
-    lam1 = gens[0][1]
-    block = []
-    for ai in range(r):
-        row = []
-        for bj in range(r):
-            den = p ** (gens[ai][1] + gens[bj][1])
-            num = sum(a * b for a, b in zip(vecs[ai], mv[bj])) % den
-            row.append(num * p**lam1 // den)
-        block.append(tuple(row))
-    return tuple(mu for _, mu in gens), tuple(block)
+    lam = tuple(mu for _, mu in gens)
+    sym = _residues(sym_rows, (h, h), mod)
+    return lam, _scaled_gram(u[[i for i, _ in gens]], sym, p, lam, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ group and on its dual; which side is meant is the caller's bookkeeping.
 Classification canonicalizes a Gram by taking the lexicographically minimal
 matrix over the automorphism orbit, prime by prime.  Orbit scans are batched
 with numpy; everything stays in exact integer arithmetic (entries live in
-Z/p^lam1 after scaling to the common denominator p^lam1).
+Z/p^lam1 after scaling to the common denominator p^lam1).  The batched
+congruence A^T C A is reduced mod q = p^lam1 between its two products, so
+int64 sums stay below r q^2; q <= |End(G)| <= budget keeps that under 2^63
+at the default budget, and a budget that would not raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -271,11 +274,24 @@ def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.
     return out
 
 
+def _transform_all(auts: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
+    """A^T c A mod q for every automorphism matrix A in auts, shape (N, r, r).
+
+    Entries of auts and c lie in [0, q) and the product is reduced mod q
+    between the two multiplications, so every int64 sum stays below r q^2;
+    a q for which that reaches 2^63 raises BudgetExceeded instead of wrapping.
+    """
+    r = c.shape[0]
+    if r * q * q >= 2**63:
+        raise BudgetExceeded(f"r q^2 = {r * q * q} overflows int64 orbit products")
+    return np.swapaxes(auts, 1, 2) @ (c @ auts % q) % q
+
+
 def _orbit_of(p, lam, c_matrix: np.ndarray, budget: int):
     """All Gram blocks isomorphic to c_matrix: set of flat tuples mod p^lam1."""
     auts = _aut_matrices(p, lam, budget)
     q = p ** lam[0] if lam else 1
-    transformed = np.einsum("nka,kl,nlb->nab", auts, c_matrix, auts) % q
+    transformed = _transform_all(auts, c_matrix, q)
     flat = transformed.reshape(len(auts), -1)
     return set(map(tuple, flat.tolist())), len(auts)
 
@@ -329,8 +345,7 @@ def aut_preserving_count(a: PairedGroup, budget: int = HOM_BUDGET) -> int:
         q = p ** lam[0]
         r = len(lam)
         c = np.array(a.pairing.scaled_block(p), dtype=np.int64).reshape(r, r)
-        transformed = np.einsum("nka,kl,nlb->nab", auts, c, auts) % q
-        total *= int(np.sum(np.all(transformed == c, axis=(1, 2))))
+        total *= int(np.sum(np.all(_transform_all(auts, c, q) == c, axis=(1, 2))))
     return total
 
 
@@ -534,12 +549,8 @@ def pairing_class_table(
             rep = min(pool)
             c = np.array(rep, dtype=np.int64).reshape(r, r)
             orbit, n_auts = _orbit_of(p, lam, c, budget)
-            if perfect_only:
-                members = orbit  # perfectness is isomorphism invariant
-            else:
-                members = orbit
             classes.append((min(orbit), len(orbit), n_auts // len(orbit)))
-            pool -= members
+            pool -= orbit  # perfectness is isomorphism invariant
         classes.sort()
         per_prime.append([(p, lam, *cls) for cls in classes])
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cokpairs.ensembles import (
@@ -12,9 +13,12 @@ from cokpairs.ensembles import (
     KIND_ALPHA,
     KIND_ER,
     KIND_UNIFORM,
+    _padic_snf,
+    _residues,
     cokernel_pairing_class,
     default_cap,
     quotient_dual_pairing,
+    sample_graph,
     sample_symmetric,
     sylow_paired_group,
 )
@@ -224,3 +228,137 @@ def test_spec_serialization_roundtrip():
     ]
     for spec in specs:
         assert EnsembleSpec.from_dict(spec.to_dict()) == spec
+
+
+def _padic_snf_reference(a, nrows, ncols, p, big_k, want_u, want_v):
+    """The list-loop p-adic Smith reduction the numpy kernel replaces.
+
+    a is a list of row lists, entries reduced mod p^big_k, diagonalized in
+    place.  Pivot: the first row-major entry of least valuation in the
+    active block.  Returns (exponents, u, v) as lists.
+    """
+    mod = p**big_k
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_u else None
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_v else None
+    exps = []
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        best_i = best_j = -1
+        best_v = big_k
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                x = row[j]
+                if x:
+                    vv = 0
+                    while x % p == 0:
+                        x //= p
+                        vv += 1
+                    if vv < best_v:
+                        best_i, best_j, best_v = i, j, vv
+                        if vv == 0:
+                            break
+            if best_v == 0:
+                break
+        if best_i < 0:
+            break
+        if best_i != t:
+            a[t], a[best_i] = a[best_i], a[t]
+            if u is not None:
+                u[t], u[best_i] = u[best_i], u[t]
+        if best_j != t:
+            for row in a:
+                row[t], row[best_j] = row[best_j], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[best_j] = row[best_j], row[t]
+        pk = p**best_v
+        unit = a[t][t] // pk
+        inv = pow(unit, -1, mod)
+        if inv != 1:
+            a[t] = [x * inv % mod for x in a[t]]
+            if u is not None:
+                u[t] = [x * inv % mod for x in u[t]]
+        at = a[t]
+        for i in range(t + 1, nrows):
+            x = a[i][t]
+            if x:
+                q = x // pk
+                a[i] = [(y - q * z) % mod for y, z in zip(a[i], at)]
+                if u is not None:
+                    u[i] = [(y - q * z) % mod for y, z in zip(u[i], u[t])]
+        for j in range(t + 1, ncols):
+            x = at[j]
+            if x:
+                q = x // pk
+                at[j] = 0
+                if v is not None:
+                    for row in v:
+                        row[j] = (row[j] - q * row[t]) % mod
+        exps.append(best_v)
+        t += 1
+    return exps, u, v
+
+
+def _assert_kernel_matches_reference(rows, p, big_k, want_u, want_v):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    mod = p**big_k
+    a = _residues(rows, (nrows, ncols), mod)
+    exps, u, v = _padic_snf(a, p, big_k, want_u, want_v)
+    ref = _padic_snf_reference(
+        [[x % mod for x in row] for row in rows], nrows, ncols, p, big_k, want_u, want_v
+    )
+    got = (exps, None if u is None else u.tolist(), None if v is None else v.tolist())
+    assert got == ref, (rows, p, big_k)
+    return a.dtype
+
+
+def test_padic_kernel_matches_reference_on_random_inputs():
+    """Same exponents and bit-identical transforms as the list-loop kernel,
+    on rectangular inputs with entries scaled by powers of p, so that
+    non-unit pivots and all-p-divisible blocks occur."""
+    rng = random.Random(31)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        big_k = rng.randint(1, 8)
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        scale = p ** rng.randint(0, 3)
+        rows = [
+            [rng.randint(-60, 60) * p ** rng.randint(0, 2) * scale for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        want_u, want_v = rng.random() < 0.5, rng.random() < 0.5
+        _assert_kernel_matches_reference(rows, p, big_k, want_u, want_v)
+
+
+def test_padic_kernel_matches_reference_on_large_entries():
+    """Entries beyond int64 reduce to int64 residues; a modulus with
+    n * mod^2 >= 2^62 runs the same code on Python ints."""
+    rng = random.Random(32)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        rows = [
+            [rng.randint(-(10**20), 10**20) * 3 ** rng.randint(0, 4) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert _assert_kernel_matches_reference(rows, 3, 8, True, True) == np.int64
+        assert _assert_kernel_matches_reference(rows, 3, 32, True, True) == object
+
+
+def test_padic_kernel_matches_reference_on_er_laplacians():
+    spec = EnsembleSpec(kind=KIND_ER, n=40, seed=41, q=0.5)
+    for t in range(200):
+        rows = [list(r) for r in laplacian(sample_graph(spec, t)).data]
+        _assert_kernel_matches_reference(rows, 2, 16, t % 2 == 0, t % 2 == 1)
+
+
+def test_large_cyclic_class_has_perfect_gram():
+    """Z/3^14 needs the Python-int kernel and an orbit scan over 3^14 - 3^13
+    automorphisms whose int64 products must not wrap."""
+    m = IntMatrix.from_rows([[-4782969]])
+    res = cokernel_pairing_class(m, [3], {3: default_cap(3, 5_000_000)})
+    assert res.representative.group.text() == "Z/4782969"
+    assert res.representative.perfect
+    assert res.text != "Z/4782969|0/1"

@@ -248,3 +248,52 @@ def test_golden_formats(tmp_path):
     with open(str(tmp_path / "golden.jsonl")) as fh:
         lines = [json.loads(line) for line in fh]
     assert [line["class"] for line in lines] == GOLDEN_OUTCOMES
+
+
+def _sha256_file(path):
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sha256_text(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_n40_outputs_pinned(tmp_path):
+    """100-trial runs at n = 40 reproduce their trial logs (raw Gram texts
+    included) and canonical reports byte for byte."""
+    dist = run_distribution(
+        ExperimentConfig(
+            ensemble=EnsembleSpec(kind=KIND_ER, n=40, seed=11, q=0.5),
+            trials=100,
+            out=str(tmp_path / "dist"),
+        )
+    )
+    moment = run_moment(
+        ExperimentConfig(
+            ensemble=EnsembleSpec(kind=KIND_UNIFORM, n=40, seed=12, modulus=9),
+            trials=100,
+            out=str(tmp_path / "moment"),
+            target="Z/3|1/3",
+        )
+    )
+    assert (
+        _sha256_file(tmp_path / "dist.jsonl")
+        == "89478afd0797ac042af92567a75a44ed205ec4cf5d4aef2e31a4cf5bb94eb54e"
+    )
+    assert (
+        _sha256_text(dist.canonical_json())
+        == "a116fbeb6faa1599c1f633dbd989dacd0f7d0f88caebbec2b1006d6df8752330"
+    )
+    assert (
+        _sha256_file(tmp_path / "moment.jsonl")
+        == "e9d6f7a7cadd2cb317ba06781f33ea3414fb7cafc64f434dcc086eed4a6be322"
+    )
+    assert (
+        _sha256_text(moment.canonical_json())
+        == "88ddb58525417323a4de4dab599a1c3269d56e99810467e88c336904cd00b506"
+    )

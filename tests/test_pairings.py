@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cokpairs.errors import NotInDual, NotSymmetric
@@ -406,3 +407,21 @@ def test_class_id_stable():
     b = canonical_pair_class(PairedGroup(z3, gram(z3, [[Fraction(1, 3)]])))
     assert a.text == b.text and a.digest == b.digest
     assert isinstance(a, PairClassId)
+
+
+def test_aut_preserving_count_large_odd_cyclic():
+    """On Z/3^14 the unit Gram (q-2)/q is kept by exactly the automorphisms
+    +1 and -1; the orbit products must not wrap around int64."""
+    q = 3**14
+    z = G(q)
+    assert aut_preserving_count(PairedGroup(z, gram(z, [[Fraction(q - 2, q)]]))) == 2
+
+
+def test_orbit_products_refuse_int64_overflow():
+    from cokpairs.errors import BudgetExceeded
+    from cokpairs.pairings import _transform_all
+
+    one = np.ones((1, 1, 1), dtype=np.int64)
+    assert _transform_all(one, one[0] * 2, 3**19).tolist() == [[[2]]]
+    with pytest.raises(BudgetExceeded):
+        _transform_all(one, one[0], 2**32)
