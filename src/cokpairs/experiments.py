@@ -28,7 +28,7 @@ from .ensembles import (
 from .errors import BudgetExceeded
 from .graphs import connected_components
 from .groups import HOM_BUDGET
-from .moments import MomentEstimate, tensor_quotient_with_dual_pairing
+from .moments import tensor_quotient_with_dual_pairing
 from .pairings import PairedGroup, parse_paired_group
 from .stats import chi2_sf, wilson_interval
 from .theory import mass_check
@@ -386,20 +386,6 @@ def run_moment(
         ]
         _write_outputs(config.out, report, lines)
     return report
-
-
-def moment_estimate_from_report(report: ExperimentReport) -> MomentEstimate:
-    m = report.moment
-    target = parse_paired_group(m["target"])
-    num, den = m["mean"].split("/")
-    return MomentEstimate(
-        target=target,
-        mean=Fraction(int(num), int(den)),
-        stderr=m["stderr"],
-        trials=report.config["trials"],
-        flagged=report.flagged.get("budget_exceeded", 0),
-        ensemble=EnsembleSpec.from_dict(report.config["ensemble"]),
-    )
 
 
 # ---------------------------------------------------------------------------

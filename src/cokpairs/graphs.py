@@ -105,10 +105,6 @@ def connected_components(g: Graph) -> int:
     return sum(1 for v in range(g.n) if find(v) == v)
 
 
-def is_connected(g: Graph) -> bool:
-    return connected_components(g) == 1
-
-
 def spanning_tree_count(g: Graph) -> int:
     """|det| of the reduced Laplacian (last row and column deleted)."""
     if g.n <= 1:

@@ -327,10 +327,6 @@ def construction_sizes(g: FinAbGroup) -> tuple[int, int, int]:
     return sym_lower, sym_upper, wedge
 
 
-def tensor_with_cyclic(g: FinAbGroup, b: int) -> FinAbGroup:
-    return g.tensor_with_cyclic(b)
-
-
 def subgroup_order(ambient: FinAbGroup, gens: list[GroupElement]) -> int:
     """Order of the subgroup generated by gens, by closure per prime block."""
     total = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .arith import lcm, xgcd
 from .errors import NotInSpan
@@ -305,13 +305,3 @@ def solve_scaled_membership(m: IntMatrix, t) -> tuple[int, tuple[int, ...]]:
             w[i] = k * y[i] // di
     s = snf.v.mul_vec(w)
     return k, s
-
-
-def kernel_rank(m: IntMatrix) -> int:
-    """Dimension of the rational kernel (number of zero SNF invariants)."""
-    snf = smith_normal_form(m)
-    return m.cols - sum(1 for x in snf.d if x != 0)
-
-
-def spanning_product(d) -> int:
-    return prod(x for x in d if x > 1)

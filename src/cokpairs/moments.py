@@ -1,5 +1,6 @@
 """Counting surjections that push the dual pairing onto a target pairing,
-by two independent routes, and Monte Carlo moment estimation.
+by two independent routes, and the tensored quotient that moment runs
+(`experiments.run_moment`) count from.
 
 Route one enumerates surjections from an already-computed group with dual
 Gram and checks the pushforward.  Route two works straight from the matrix
@@ -13,17 +14,14 @@ is checked by lifted_equation_check; all three must agree everywhere.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import rng
-from .ensembles import EnsembleSpec, KIND_ER, quotient_dual_pairing, sample_symmetric
+from .ensembles import quotient_dual_pairing
 from .errors import BudgetExceeded, NotALift, NotSymmetric
 from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p, enumerate_surjections
 from .intmat import IntMatrix
 from .modmaps import ModuleMap
-from .pairings import PairedGroup, PairingGram, gram_from_scaled_blocks, pushforward
+from .pairings import PairingGram, gram_from_scaled_blocks, pushforward
 
 
 def count_sur_star_pushforward(
@@ -261,18 +259,7 @@ def lifted_equation_check(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo moments
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    target: PairedGroup
-    mean: Fraction
-    stderr: float
-    trials: int
-    flagged: int
-    ensemble: EnsembleSpec
-    counts: tuple[int, ...] = field(repr=False, default=())
+# the tensored quotient of a sampled matrix
 
 
 def tensor_quotient_with_dual_pairing(
@@ -301,52 +288,3 @@ def tensor_quotient_with_dual_pairing(
         blocks[p] = block
     gram = gram_from_scaled_blocks(group, blocks)
     return group, gram
-
-
-def sur_star_count_for_matrix(
-    m: IntMatrix,
-    target: PairedGroup,
-    zero_sum: bool = False,
-    budget: int = HOM_BUDGET,
-) -> int:
-    """#Sur* from the (tensored) quotient of m onto the target, via the
-    pushforward route."""
-    b = target.group.exponent if target.group.types else 1
-    if b == 1:
-        return 1
-    src_group, src_gram = tensor_quotient_with_dual_pairing(m, b, zero_sum)
-    return count_sur_star_pushforward(
-        (src_group, src_gram), (target.group, target.pairing), budget
-    )
-
-
-def empirical_moment(
-    ensemble: EnsembleSpec,
-    target: PairedGroup,
-    trials: int,
-    budget: int = HOM_BUDGET,
-) -> MomentEstimate:
-    """Monte Carlo estimate of the expected Sur* count over the ensemble.
-
-    Per-trial budget overruns are flagged and excluded from the mean, never
-    silently dropped.  stderr is the sample standard deviation over the
-    kept trials divided by sqrt(kept)."""
-    counts: list[int] = []
-    flagged = 0
-    zero_sum = ensemble.kind == KIND_ER
-    for t in range(trials):
-        m = sample_symmetric(ensemble, t)
-        try:
-            counts.append(sur_star_count_for_matrix(m, target, zero_sum, budget))
-        except BudgetExceeded:
-            flagged += 1
-    kept = len(counts)
-    if kept == 0:
-        return MomentEstimate(target, Fraction(0), float("nan"), trials, flagged, ensemble, ())
-    mean = Fraction(sum(counts), kept)
-    if kept > 1:
-        var = sum((Fraction(c) - mean) ** 2 for c in counts) / (kept - 1)
-        stderr = math.sqrt(float(var) / kept)
-    else:
-        stderr = float("nan")
-    return MomentEstimate(target, mean, stderr, trials, flagged, ensemble, tuple(counts))

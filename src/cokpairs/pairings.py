@@ -12,18 +12,25 @@ restricted to indices with d_i > 1.  A single Gram type serves pairings on a
 group and on its dual; which side is meant is the caller's bookkeeping.
 
 Classification canonicalizes a Gram by taking the lexicographically minimal
-matrix over the automorphism orbit, prime by prime.  Orbit scans are batched
-with numpy; everything stays in exact integer arithmetic (entries live in
-Z/p^lam1 after scaling to the common denominator p^lam1).  The batched
-congruence A^T C A is reduced mod q = p^lam1 between its two products, so
-int64 sums stay below r q^2; q <= |End(G)| <= budget keeps that under 2^63
-at the default budget, and a budget that would not raises BudgetExceeded.
+matrix over the automorphism orbit, prime by prime (entries live in Z/p^lam1
+after scaling to the common denominator p^lam1).  Each orbit is scanned once,
+by `_block_class`, the first time one of its members is met; every member is
+then indexed under (canonical block, orbit size, stabilizer size), and class
+ids, class tables and |Aut(G, pairing)| are all read from that index.
+
+No floating point is used.  Automorphisms are the endomorphisms whose mod-p
+reduction is invertible (Nakayama), decided by an exact mod-p determinant.
+The batched congruence A^T C A is reduced mod q = p^lam1 between its two
+products, so int64 sums stay below r q^2; q <= |End(G)| <= budget keeps that
+under 2^63 at the default budget, and a budget that would not raises
+BudgetExceeded.  |End(G)| is checked against the budget before the index is
+read, so whether a call raises never depends on earlier calls.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
@@ -32,7 +39,7 @@ import numpy as np
 
 from .arith import factorint
 from .errors import BudgetExceeded, NotInDual, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, GroupHom
+from .groups import HOM_BUDGET, FinAbGroup, GroupHom, _rank_mod_p
 from .intmat import IntMatrix, RationalVector, smith_normal_form
 
 
@@ -152,45 +159,11 @@ def gram_from_scaled_blocks(group: FinAbGroup, blocks: dict[int, tuple]) -> Pair
 
 
 def is_perfect_gram(gram: PairingGram) -> bool:
-    """Whether the induced map G -> dual(G) is bijective (mod-p determinant
-    of the scaled block on each prime part)."""
-    g = gram.group
-    for p, lam in g.types:
-        blk = gram.scaled_block(p)
-        q = p ** lam[0]
-        r = len(lam)
-        reduced = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                scale = q // p ** lam[i]
-                if blk[i][j] % scale:
-                    raise ValueError("scaled block violates order compatibility")
-                row.append((blk[i][j] // scale) % p)
-            reduced.append(row)
-        if _det_mod_p(reduced, p) == 0:
-            return False
-    return True
-
-
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    a = [r[:] for r in rows]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c] % p
-        inv = pow(a[c][c], -1, p)
-        for i in range(c + 1, n):
-            f = a[i][c] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-    return det % p
+    """Whether the induced map G -> dual(G) is bijective (mod-p rank of the
+    scaled block on each prime part)."""
+    return all(
+        _block_is_perfect(p, lam, gram.scaled_block(p)) for p, lam in gram.group.types
+    )
 
 
 @dataclass(frozen=True)
@@ -227,11 +200,41 @@ class PairClassId:
 
 
 # ---------------------------------------------------------------------------
-# automorphism matrices and orbit machinery, per prime block
+# automorphism matrices and the orbit index, per prime block
+
+
+def _end_count(p: int, lam: tuple[int, ...], budget: int) -> int:
+    """|End| of the p-group of type lam; raises BudgetExceeded above budget."""
+    total = prod(p ** min(a, b) for a in lam for b in lam)
+    if total > budget:
+        raise BudgetExceeded(f"|End| = {total} for p={p}, type {lam} exceeds budget {budget}")
+    return total
+
+
+def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the (N, r, r) batch whose reduction mod p is invertible.
+
+    The determinant mod p is the Leibniz sum over permutations, reduced
+    after every product; permutations through an entry that is 0 in every
+    matrix of the batch are skipped.  Products stay below p^2, which for
+    r >= 2 is at most |End|^(1/2) (for r = 1 the only product is 1 * entry).
+    """
+    r = mats.shape[1]
+    m = mats % p
+    nonzero = m.any(axis=0)
+    det = np.zeros(len(m), dtype=np.int64)
+    for perm in itertools.permutations(range(r)):
+        if not all(nonzero[i, j] for i, j in enumerate(perm)):
+            continue
+        term = np.ones(len(m), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * m[:, i, j] % p
+        odd = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :]) % 2
+        det = (det - term if odd else det + term) % p
+    return det != 0
 
 
 _aut_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-_aut_lock = threading.Lock()
 
 
 def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.ndarray:
@@ -241,37 +244,21 @@ def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.
     p^lam_i.  Enumerates endomorphisms in mixed radix and keeps those whose
     mod-p reduction is invertible (Nakayama).
     """
+    total = _end_count(p, lam, budget)
     key = (p, lam)
-    with _aut_lock:
-        cached = _aut_cache.get(key)
-    if cached is not None:
-        return cached
-    r = len(lam)
-    if r == 0:
-        out = np.zeros((1, 0, 0), dtype=np.int64)
-        with _aut_lock:
-            _aut_cache[key] = out
-        return out
-    radices = [p ** min(lam[i], lam[j]) for i in range(r) for j in range(r)]
-    total = prod(radices)
-    if total > budget:
-        raise BudgetExceeded(f"|End| = {total} for p={p}, type {lam} exceeds budget {budget}")
-    scales = np.array(
-        [p ** (lam[i] - min(lam[i], lam[j])) for i in range(r) for j in range(r)],
-        dtype=np.int64,
-    )
-    keep = []
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total))
-        digits = np.array(np.unravel_index(idx, radices), dtype=np.int64)
-        mats = (digits * scales[:, None]).T.reshape(-1, r, r)
-        dets = np.rint(np.linalg.det((mats % p).astype(np.float64))).astype(np.int64)
-        keep.append(mats[dets % p != 0])
-    out = np.concatenate(keep)
-    with _aut_lock:
-        _aut_cache[key] = out
-    return out
+    if key not in _aut_cache:
+        r = len(lam)
+        radices = [p ** min(a, b) for a in lam for b in lam]
+        scales = np.array([p ** (a - min(a, b)) for a in lam for b in lam], dtype=np.int64)
+        keep = []
+        chunk = 1 << 18
+        for lo in range(0, total, chunk):
+            idx = np.arange(lo, min(lo + chunk, total))
+            digits = np.array(np.unravel_index(idx, radices), dtype=np.int64)
+            mats = (digits * scales[:, None]).T.reshape(-1, r, r)
+            keep.append(mats[_invertible_mod_p(mats, p)])
+        _aut_cache[key] = np.concatenate(keep)
+    return _aut_cache[key]
 
 
 def _transform_all(auts: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
@@ -287,47 +274,51 @@ def _transform_all(auts: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
     return np.swapaxes(auts, 1, 2) @ (c @ auts % q) % q
 
 
-def _orbit_of(p, lam, c_matrix: np.ndarray, budget: int):
-    """All Gram blocks isomorphic to c_matrix: set of flat tuples mod p^lam1."""
-    auts = _aut_matrices(p, lam, budget)
-    q = p ** lam[0] if lam else 1
-    transformed = _transform_all(auts, c_matrix, q)
-    flat = transformed.reshape(len(auts), -1)
-    return set(map(tuple, flat.tolist())), len(auts)
+# (p, lam) -> {flat Gram block: (canonical block, orbit size, stabilizer size)}
+_orbit_index: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], tuple]] = {}
 
 
-def _canonical_block(p, lam, block, budget: int):
-    """(canonical flat tuple, orbit size, stabilizer size) for one prime block."""
-    r = len(lam)
-    c = np.array(block, dtype=np.int64).reshape(r, r) if r else np.zeros((0, 0), np.int64)
-    orbit, n_auts = _orbit_of(p, lam, c, budget)
-    return min(orbit), len(orbit), n_auts // len(orbit)
+def _block_class(
+    p: int, lam: tuple[int, ...], flat_block: tuple[int, ...], budget: int
+) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(canonical block, orbit size, stabilizer size) for one prime block.
+
+    The canonical block is the lexicographic minimum of the orbit under
+    Aut(G_p).  The first member met pays the one scan of its orbit, which
+    indexes every member; later members are lookups.
+    """
+    _end_count(p, lam, budget)
+    index = _orbit_index.setdefault((p, lam), {})
+    hit = index.get(flat_block)
+    if hit is None:
+        auts = _aut_matrices(p, lam, budget)
+        r = len(lam)
+        c = np.array(flat_block, dtype=np.int64).reshape(r, r)
+        flat = _transform_all(auts, c, p ** lam[0]).reshape(len(auts), -1)
+        flat = flat[np.lexsort(flat.T[::-1])]  # rows in lexicographic order
+        orbit = flat[np.r_[True, np.any(flat[1:] != flat[:-1], axis=1)]]
+        canonical = tuple(map(tuple, orbit[0].reshape(r, r).tolist()))
+        hit = (canonical, len(orbit), len(auts) // len(orbit))
+        index.update(dict.fromkeys(map(tuple, orbit.tolist()), hit))
+    return hit
 
 
-_class_cache: dict[str, PairClassId] = {}
-_class_lock = threading.Lock()
+def _class_id(group: FinAbGroup, canonical_blocks: dict[int, tuple]) -> PairClassId:
+    """The id of the class whose per-prime canonical blocks are given."""
+    rep = PairedGroup(group, gram_from_scaled_blocks(group, canonical_blocks))
+    text = rep.text()
+    return PairClassId(rep, text, hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 def canonical_pair_class(pg: PairedGroup, budget: int = HOM_BUDGET) -> PairClassId:
     """Stable class id: per-prime lexicographically minimal Gram over Aut(G)."""
-    raw_key = pg.text()
-    with _class_lock:
-        hit = _class_cache.get(raw_key)
-    if hit is not None:
-        return hit
-    blocks = {}
-    for p, lam in pg.group.types:
-        canon, _, _ = _canonical_block(p, lam, pg.pairing.scaled_block(p), budget)
-        r = len(lam)
-        blocks[p] = tuple(tuple(canon[i * r : (i + 1) * r]) for i in range(r))
-    gram = gram_from_scaled_blocks(pg.group, blocks)
-    rep = PairedGroup(pg.group, gram)
-    text = rep.text()
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    cid = PairClassId(rep, text, digest)
-    with _class_lock:
-        _class_cache[raw_key] = cid
-    return cid
+    return _class_id(
+        pg.group,
+        {
+            p: _block_class(p, lam, sum(pg.pairing.scaled_block(p), ()), budget)[0]
+            for p, lam in pg.group.types
+        },
+    )
 
 
 def pair_isomorphic(a: PairedGroup, b: PairedGroup, budget: int = HOM_BUDGET) -> bool:
@@ -338,15 +329,11 @@ def pair_isomorphic(a: PairedGroup, b: PairedGroup, budget: int = HOM_BUDGET) ->
 
 
 def aut_preserving_count(a: PairedGroup, budget: int = HOM_BUDGET) -> int:
-    """|Aut(G, pairing)|: automorphisms whose Gram transform is the identity."""
-    total = 1
-    for p, lam in a.group.types:
-        auts = _aut_matrices(p, lam, budget)
-        q = p ** lam[0]
-        r = len(lam)
-        c = np.array(a.pairing.scaled_block(p), dtype=np.int64).reshape(r, r)
-        total *= int(np.sum(np.all(_transform_all(auts, c, q) == c, axis=(1, 2))))
-    return total
+    """|Aut(G, pairing)|: the product of the per-prime stabilizer sizes."""
+    return prod(
+        _block_class(p, lam, sum(a.pairing.scaled_block(p), ()), budget)[2]
+        for p, lam in a.group.types
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +498,7 @@ def _block_is_perfect(p, lam, blk) -> bool:
     reduced = [
         [(blk[i][j] // (q // p ** lam[i])) % p for j in range(r)] for i in range(r)
     ]
-    return _det_mod_p(reduced, p) != 0
+    return _rank_mod_p(reduced, p) == r
 
 
 @dataclass(frozen=True)
@@ -521,63 +508,30 @@ class PairingClassInfo:
     aut_preserving: int      # |Aut(G, pairing)| for the representative
 
 
-_table_cache: dict[tuple, list] = {}
-_table_lock = threading.Lock()
-
-
 def pairing_class_table(
     g: FinAbGroup, perfect_only: bool, budget: int = HOM_BUDGET
 ) -> list[PairingClassInfo]:
     """Partition all symmetric pairings on g (optionally only perfect ones)
     into isomorphism classes, with orbit and stabilizer sizes."""
-    cache_key = (g.types, perfect_only)
-    with _table_lock:
-        hit = _table_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    per_prime: list[list[tuple]] = []
+    per_prime = []
     for p, lam in g.types:
-        _aut_matrices(p, lam, budget)  # raises BudgetExceeded before any gram work
-        pool = set()
-        for blk in _enumerate_blocks(p, lam):
-            if perfect_only and not _block_is_perfect(p, lam, blk):
-                continue
-            pool.add(tuple(x for row in blk for x in row))
-        classes = []
-        r = len(lam)
-        while pool:
-            rep = min(pool)
-            c = np.array(rep, dtype=np.int64).reshape(r, r)
-            orbit, n_auts = _orbit_of(p, lam, c, budget)
-            classes.append((min(orbit), len(orbit), n_auts // len(orbit)))
-            pool -= orbit  # perfectness is isomorphism invariant
-        classes.sort()
-        per_prime.append([(p, lam, *cls) for cls in classes])
-
-    combos: list[PairingClassInfo] = []
-
-    def rec(k, blocks, count, stab):
-        if k == len(per_prime):
-            gram = gram_from_scaled_blocks(g, dict(blocks))
-            rep = PairedGroup(g, gram)
-            cid = canonical_pair_class(rep, budget)
-            combos.append(PairingClassInfo(cid, count, stab))
-            return
-        for p, lam, canon, orb, st in per_prime[k]:
-            r = len(lam)
-            blk = tuple(tuple(canon[i * r : (i + 1) * r]) for i in range(r))
-            rec(k + 1, blocks + [(p, blk)], count * orb, stab * st)
-
-    if not g.types:
-        gram = PairingGram(g, ())
-        rep = PairedGroup(g, gram)
-        combos = [PairingClassInfo(canonical_pair_class(rep, budget), 1, 1)]
-    else:
-        rec(0, [], 1, 1)
-        combos.sort(key=lambda c: c.class_id.text)
-    with _table_lock:
-        _table_cache[cache_key] = combos
-    return combos
+        _end_count(p, lam, budget)  # raises before any Gram work
+        # perfectness is an isomorphism invariant, so whole orbits pass or fail
+        classes = {
+            _block_class(p, lam, sum(blk, ()), budget)
+            for blk in _enumerate_blocks(p, lam)
+            if not perfect_only or _block_is_perfect(p, lam, blk)
+        }
+        per_prime.append([(p, *cls) for cls in sorted(classes)])
+    table = [
+        PairingClassInfo(
+            _class_id(g, {p: canon for p, canon, _, _ in combo}),
+            prod(orbit for _, _, orbit, _ in combo),
+            prod(stab for _, _, _, stab in combo),
+        )
+        for combo in itertools.product(*per_prime)
+    ]
+    return sorted(table, key=lambda info: info.class_id.text)
 
 
 def enumerate_pairing_classes(

@@ -54,11 +54,6 @@ class Stream:
         """True with probability threshold / 2**64."""
         return self.u64() < threshold
 
-    def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.below(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
-
 
 def probability_threshold(q: float) -> int:
     """Integer t with t / 2**64 equal to q rounded to 64 fractional bits."""

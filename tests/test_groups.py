@@ -20,7 +20,6 @@ from cokpairs.groups import (
     identity_hom,
     parse_group,
     subgroup_order,
-    tensor_with_cyclic,
 )
 
 
@@ -184,9 +183,9 @@ def test_sym2_size_matches_pairing_count():
 
 
 def test_tensor_with_cyclic():
-    assert tensor_with_cyclic(G(4), 2).text() == "Z/2"
-    assert tensor_with_cyclic(G(3), 2).order == 1
-    assert tensor_with_cyclic(G(12, 2), 4).text() == "Z/4+Z/2"
+    assert G(4).tensor_with_cyclic(2).text() == "Z/2"
+    assert G(3).tensor_with_cyclic(2).order == 1
+    assert G(12, 2).tensor_with_cyclic(4).text() == "Z/4+Z/2"
 
 
 def test_text_roundtrip_and_normalization():

@@ -8,6 +8,7 @@ import pytest
 
 from cokpairs.ensembles import EnsembleSpec, KIND_ER, KIND_UNIFORM
 from cokpairs.errors import NotALift
+from cokpairs.experiments import ExperimentConfig, run_moment
 from cokpairs.groups import FinAbGroup, enumerate_surjections
 from cokpairs.intmat import IntMatrix
 from cokpairs.modmaps import ModuleMap
@@ -15,7 +16,6 @@ from cokpairs.moments import (
     count_sur_star_congruence,
     count_sur_star_pushforward,
     dual_gram_numerators,
-    empirical_moment,
     lift_codomain,
     lifted_equation_check,
     lifted_pairing_key,
@@ -221,9 +221,9 @@ def test_exact_dual_pairing_feeds_pushforward():
 
 def test_empirical_moment_trivial_target():
     spec = EnsembleSpec(kind=KIND_UNIFORM, n=4, seed=1, modulus=4)
-    est = empirical_moment(spec, PairedGroup(*trivial_target()), trials=50)
-    assert est.mean == 1 and est.stderr == 0
-    assert est.trials == 50 and est.flagged == 0
+    report = run_moment(ExperimentConfig(ensemble=spec, trials=50), PairedGroup(*trivial_target()))
+    assert Fraction(report.moment["mean"]) == 1 and report.moment["stderr"] == 0
+    assert report.config["trials"] == 50 and report.flagged["budget_exceeded"] == 0
 
 
 def test_empirical_moment_er_small():
@@ -231,9 +231,9 @@ def test_empirical_moment_er_small():
     z2 = G(2)
     target = PairedGroup(z2, gram(z2, [[Fraction(1, 2)]]))
     spec = EnsembleSpec(kind=KIND_ER, n=24, seed=31, q=0.5)
-    est = empirical_moment(spec, target, trials=400)
-    assert est.flagged == 0
-    assert abs(float(est.mean) - 0.5) <= 4 * est.stderr
+    report = run_moment(ExperimentConfig(ensemble=spec, trials=400), target)
+    assert report.flagged["budget_exceeded"] == 0
+    assert abs(report.moment["mean_float"] - 0.5) <= 4 * report.moment["stderr"]
 
 
 def test_moment_counts_disconnected_graphs_exactly():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cokpairs.errors import NotInDual, NotSymmetric
-from cokpairs.groups import FinAbGroup, enumerate_surjections
+from cokpairs.errors import BudgetExceeded, NotInDual, NotSymmetric
+from cokpairs.groups import FinAbGroup, enumerate_automorphisms, enumerate_surjections
 from cokpairs.intmat import IntMatrix, RationalVector, smith_normal_form, solve_scaled_membership
 from cokpairs.pairings import (
     PairClassId,
@@ -18,6 +18,7 @@ from cokpairs.pairings import (
     canonical_pair_class,
     dual_cokernel_pairing_value,
     enumerate_pairing_classes,
+    gram_from_scaled_blocks,
     pair_isomorphic,
     pairing_class_table,
     parse_paired_group,
@@ -418,10 +419,97 @@ def test_aut_preserving_count_large_odd_cyclic():
 
 
 def test_orbit_products_refuse_int64_overflow():
-    from cokpairs.errors import BudgetExceeded
     from cokpairs.pairings import _transform_all
 
     one = np.ones((1, 1, 1), dtype=np.int64)
     assert _transform_all(one, one[0] * 2, 3**19).tolist() == [[[2]]]
     with pytest.raises(BudgetExceeded):
         _transform_all(one, one[0], 2**32)
+
+
+def test_budget_errors_do_not_depend_on_call_history():
+    """A small budget raises, or skips, whether or not a default-budget call
+    has already classified the same group in this process."""
+    from cokpairs.pairings import _aut_matrices
+    from cokpairs.theory import mass_check
+
+    g = G(4, 2)  # |End| = 32
+    pg = pairing_class_table(g, True)[0].class_id.representative
+    canonical_pair_class(pg)
+    aut_preserving_count(pg)
+    for call in (
+        lambda: pairing_class_table(g, True, budget=10),
+        lambda: canonical_pair_class(pg, budget=10),
+        lambda: aut_preserving_count(pg, budget=10),
+        lambda: _aut_matrices(2, (2, 1), budget=10),
+    ):
+        with pytest.raises(BudgetExceeded):
+            call()
+    mass_check((2,), 16)
+    assert mass_check((2,), 16, budget=100).skipped == (
+        "Z/2+Z/2+Z/2",
+        "Z/2+Z/2+Z/2+Z/2",
+        "Z/4+Z/2+Z/2",
+        "Z/4+Z/4",
+    )
+
+
+def test_aut_matrices_match_enumerated_automorphisms():
+    """The exact mod-p invertibility test keeps exactly Aut(G), counted by
+    enumerating homomorphisms, on every p-group of order <= 64 (p = 2, 3)
+    with |End| <= 4096."""
+    from cokpairs.groups import aut_order, hom_count
+    from cokpairs.pairings import _aut_matrices
+    from cokpairs.theory import groups_at_primes
+
+    groups = [
+        g
+        for p in (2, 3)
+        for g in groups_at_primes([p], 64)
+        if g.types and hom_count(g, g) <= 4096
+    ]
+    assert len(groups) == 24
+    for g in groups:
+        ((p, lam),) = g.types
+        assert len(_aut_matrices(p, lam)) == aut_order(g), g.text()
+
+
+def _orbit_minimum_text(pg, auts):
+    """Class text by brute force: the Gram over all automorphisms whose
+    scaled block is lexicographically smallest, in pure Python."""
+    g = pg.group
+    ((p, _),) = g.types
+    best = None
+    for images in auts:
+        rows = [[pg.pairing.evaluate(x, y).value for y in images] for x in images]
+        cand = PairingGram.from_fractions(g, rows)
+        if best is None or cand.scaled_block(p) < best.scaled_block(p):
+            best = cand
+    return PairedGroup(g, best).text()
+
+
+def test_orbit_index_matches_brute_force_orbits():
+    """Every symmetric block, perfect or not, gets the brute-force orbit
+    minimum as its class, whether the index is filled by classifying the
+    blocks in shuffled order or by building the class table first."""
+    from cokpairs import pairings
+
+    rng = random.Random(8)
+    for g in (G(4, 2), G(2, 2, 2), G(8), G(9), G(3, 3)):
+        ((p, lam),) = g.types
+        pgs = [
+            PairedGroup(g, gram_from_scaled_blocks(g, {p: blk}))
+            for blk in pairings._enumerate_blocks(p, lam)
+        ]
+        auts = [[img.coords for img in phi.images] for phi in enumerate_automorphisms(g)]
+        expected = [_orbit_minimum_text(pg, auts) for pg in pgs]
+
+        pairings._orbit_index.clear()
+        order = list(range(len(pgs)))
+        rng.shuffle(order)
+        shuffled = {k: canonical_pair_class(pgs[k]).text for k in order}
+        assert [shuffled[k] for k in range(len(pgs))] == expected, g.text()
+
+        pairings._orbit_index.clear()
+        pairing_class_table(g, perfect_only=False)
+        assert [canonical_pair_class(pg).text for pg in pgs] == expected, g.text()
