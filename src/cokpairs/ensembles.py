@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
+from .arith import is_prime
 from .errors import UnbalancedDistribution
 from .graphs import ERParams, Graph, laplacian, sample_er
 from .groups import HOM_BUDGET, FinAbGroup
@@ -378,6 +379,8 @@ def cokernel_pairing_class(
 
 def default_cap(p: int, order_bound: int) -> int:
     """Exponent cap lam1_max + 2 for groups of order <= order_bound."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     lam1 = 0
     q = p
     while q <= order_bound:

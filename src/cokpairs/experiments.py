@@ -10,9 +10,11 @@ trial logs (one line per trial) support replay and external analysis.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _pkg_version
@@ -26,9 +28,8 @@ from .ensembles import (
     sample_symmetric,
 )
 from .errors import BudgetExceeded
-from .graphs import connected_components
-from .groups import HOM_BUDGET
-from .moments import tensor_quotient_with_dual_pairing
+from .graphs import connected_components, laplacian
+from .moments import count_sur_star_pushforward, tensor_quotient_with_dual_pairing
 from .pairings import PairedGroup, parse_paired_group
 from .stats import chi2_sf, wilson_interval
 from .theory import mass_check
@@ -92,16 +93,16 @@ class ClassRow:
     predicted: float | None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentReport:
     kind: str
     config: dict
-    rows: list[ClassRow]
-    flagged: dict
-    chi_square: dict | None
-    moment: dict | None
-    connectivity: dict | None
-    prediction_note: str | None
+    rows: list[ClassRow] = field(default_factory=list)
+    flagged: dict = field(default_factory=lambda: {"cap_exceeded": 0, "budget_exceeded": 0})
+    chi_square: dict | None = None
+    moment: dict | None = None
+    connectivity: dict | None = None
+    prediction_note: str | None = None
     versions: dict
     wallclock: float
 
@@ -132,26 +133,37 @@ def _versions() -> dict:
     return {"cokpairs": _pkg_version}
 
 
-def _chunks(trials: int, jobs: int):
-    per = max(1, trials // (jobs * 8) + (trials % (jobs * 8) > 0)) if jobs > 1 else trials
-    lo = 0
-    while lo < trials:
-        hi = min(trials, lo + per)
-        yield lo, hi
-        lo = hi
+def _run_slice(trial_fn, static_args: tuple, trials: range) -> list:
+    return [trial_fn(*static_args, t) for t in trials]
 
 
-def _run_chunked(worker, static_args: tuple, trials: int, jobs: int) -> list:
-    spans = list(_chunks(trials, jobs))
-    if jobs <= 1:
-        parts = [worker((*static_args, lo, hi)) for lo, hi in spans]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(worker, [(*static_args, lo, hi) for lo, hi in spans]))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+def _run_trials(trial_fn, static_args: tuple, config: ExperimentConfig) -> list:
+    """trial_fn(*static_args, t) for every trial t, in trial order.
+
+    With jobs > 1, contiguous slices of ceil(trials / (8 jobs)) trials run on
+    a process pool; trial_fn must be a module-level function so it pickles.
+    """
+    trials = range(config.trials)
+    if config.jobs == 1:
+        return _run_slice(trial_fn, static_args, trials)
+    per = -(-config.trials // (8 * config.jobs))
+    slices = [trials[lo : lo + per] for lo in range(0, config.trials, per)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as ex:
+        parts = ex.map(functools.partial(_run_slice, trial_fn, static_args), slices)
+        return [out for part in parts for out in part]
+
+
+def _finish(
+    config: ExperimentConfig, t0: float, trial_lines: list[dict], **fields
+) -> ExperimentReport:
+    """Stamp versions and wallclock on the report, and write its .json
+    summary and .jsonl trial log when config.out is set."""
+    report = ExperimentReport(
+        config=config.to_dict(), versions=_versions(), wallclock=time.time() - t0, **fields
+    )
+    if config.out:
+        _write_outputs(config.out, report, trial_lines)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +173,6 @@ def _run_chunked(worker, static_args: tuple, trials: int, jobs: int) -> list:
 def _classify_trial(spec: EnsembleSpec, primes, caps, trial: int) -> str:
     if spec.kind == KIND_ER:
         g = sample_graph(spec, trial)
-        from .graphs import laplacian
-
         m = laplacian(g)
         free_rank = connected_components(g)
     else:
@@ -175,13 +185,6 @@ def _classify_trial(spec: EnsembleSpec, primes, caps, trial: int) -> str:
     if isinstance(res, CapExceeded):
         return CAP_FLAG
     return res.text
-
-
-def _dist_chunk(args) -> list[str]:
-    spec_dict, primes, caps, lo, hi = args
-    spec = EnsembleSpec.from_dict(spec_dict)
-    caps = {int(k): v for k, v in caps.items()}
-    return [_classify_trial(spec, primes, caps, t) for t in range(lo, hi)]
 
 
 _prediction_cache: dict[tuple, tuple[dict[str, float], str]] = {}
@@ -264,70 +267,46 @@ def run_distribution(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     primes = tuple(sorted(config.primes))
     caps = {p: default_cap(p, config.order_bound) for p in primes}
-    outcomes = _run_chunked(
-        _dist_chunk,
-        (config.ensemble.to_dict(), primes, caps),
-        config.trials,
-        config.jobs,
-    )
+    outcomes = _run_trials(_classify_trial, (config.ensemble, primes, caps), config)
     counts: dict[str, int] = {}
     for key in outcomes:
         counts[key] = counts.get(key, 0) + 1
     predicted, note = prediction_table(primes, config.order_bound)
-    flagged = {
-        "cap_exceeded": counts.get(CAP_FLAG, 0),
-        "budget_exceeded": counts.get(BUDGET_FLAG, 0),
-    }
-    chi = pooled_chi_square(counts, config.trials, predicted)
-    report = ExperimentReport(
+    return _finish(
+        config,
+        t0,
+        [{"trial": i, "class": k} for i, k in enumerate(outcomes)],
         kind="distribution",
-        config=config.to_dict(),
         rows=_rows_from_counts(counts, config.trials, predicted),
-        flagged=flagged,
-        chi_square=chi,
-        moment=None,
-        connectivity=None,
+        flagged={
+            "cap_exceeded": counts.get(CAP_FLAG, 0),
+            "budget_exceeded": counts.get(BUDGET_FLAG, 0),
+        },
+        chi_square=pooled_chi_square(counts, config.trials, predicted),
         prediction_note=note,
-        versions=_versions(),
-        wallclock=time.time() - t0,
     )
-    if config.out:
-        _write_outputs(config.out, report, [{"trial": i, "class": k} for i, k in enumerate(outcomes)])
-    return report
 
 
 # ---------------------------------------------------------------------------
 # moment runs
 
 
-def _moment_chunk(args) -> list:
-    spec_dict, target_text, budget, lo, hi = args
-    spec = EnsembleSpec.from_dict(spec_dict)
-    target = parse_paired_group(target_text)
-    zero_sum = spec.kind == KIND_ER
-    out = []
-    b = target.group.exponent if target.group.types else 1
-    for t in range(lo, hi):
-        m = sample_symmetric(spec, t)
-        try:
-            if b == 1:
-                out.append((t, "1", "", 1))
-                continue
-            src_group, src_gram = tensor_quotient_with_dual_pairing(m, b, zero_sum)
-            from .moments import count_sur_star_pushforward
-
-            c = count_sur_star_pushforward(
-                (src_group, src_gram), (target.group, target.pairing), budget
-            )
-            out.append((t, src_group.text(), src_gram.text(), c))
-        except BudgetExceeded:
-            out.append((t, "", "", None))
-    return out
+def _moment_trial(spec: EnsembleSpec, target: PairedGroup, trial: int) -> tuple:
+    """(source group text, source Gram text, Sur* count); the count is
+    None when the enumeration budget is exceeded."""
+    b = target.group.exponent
+    if b == 1:
+        return "1", "", 1
+    m = sample_symmetric(spec, trial)
+    try:
+        src_group, src_gram = tensor_quotient_with_dual_pairing(m, b, spec.kind == KIND_ER)
+        c = count_sur_star_pushforward((src_group, src_gram), (target.group, target.pairing))
+    except BudgetExceeded:
+        return "", "", None
+    return src_group.text(), src_gram.text(), c
 
 
-def run_moment(
-    config: ExperimentConfig, target: PairedGroup | None = None, budget: int = HOM_BUDGET
-) -> ExperimentReport:
+def run_moment(config: ExperimentConfig, target: PairedGroup | None = None) -> ExperimentReport:
     """Estimate the expected Sur* count onto the target over the ensemble.
 
     The report carries |mean - 1/|G|| and the three-sigma verdict against
@@ -338,66 +317,45 @@ def run_moment(
         if not config.target:
             raise ValueError("moment runs need a target paired group")
         target = parse_paired_group(config.target)
-    records = _run_chunked(
-        _moment_chunk,
-        (config.ensemble.to_dict(), target.text(), budget),
-        config.trials,
-        config.jobs,
-    )
-    counts = [r[3] for r in records if r[3] is not None]
-    flagged = sum(1 for r in records if r[3] is None)
+    records = _run_trials(_moment_trial, (config.ensemble, target), config)
+    counts = [r[2] for r in records if r[2] is not None]
     kept = len(counts)
     mean = Fraction(sum(counts), kept) if kept else Fraction(0)
     if kept > 1:
         var = sum((Fraction(c) - mean) ** 2 for c in counts) / (kept - 1)
-        import math
-
         stderr = math.sqrt(float(var) / kept)
     else:
         stderr = float("nan")
     target_value = Fraction(1, target.group.order)
     deviation = abs(float(mean - target_value))
-    moment = {
-        "target": target.text(),
-        "mean": f"{mean.numerator}/{mean.denominator}",
-        "mean_float": float(mean),
-        "stderr": stderr,
-        "trials_kept": kept,
-        "predicted": float(target_value),
-        "abs_deviation": deviation,
-        "within_3_sigma": bool(deviation <= 3 * stderr) if kept > 1 else None,
-    }
-    report = ExperimentReport(
-        kind="moment",
-        config=config.to_dict(),
-        rows=[],
-        flagged={"budget_exceeded": flagged, "cap_exceeded": 0},
-        chi_square=None,
-        moment=moment,
-        connectivity=None,
-        prediction_note=None,
-        versions=_versions(),
-        wallclock=time.time() - t0,
-    )
-    if config.out:
-        lines = [
+    return _finish(
+        config,
+        t0,
+        [
             {"trial": t, "seed": config.ensemble.seed, "group": g, "gram": gr, "count": c}
-            for t, g, gr, c in records
-        ]
-        _write_outputs(config.out, report, lines)
-    return report
+            for t, (g, gr, c) in enumerate(records)
+        ],
+        kind="moment",
+        flagged={"budget_exceeded": config.trials - kept, "cap_exceeded": 0},
+        moment={
+            "target": target.text(),
+            "mean": f"{mean.numerator}/{mean.denominator}",
+            "mean_float": float(mean),
+            "stderr": stderr,
+            "trials_kept": kept,
+            "predicted": float(target_value),
+            "abs_deviation": deviation,
+            "within_3_sigma": bool(deviation <= 3 * stderr) if kept > 1 else None,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
 # connectivity runs
 
 
-def _conn_chunk(args) -> list[bool]:
-    spec_dict, lo, hi = args
-    spec = EnsembleSpec.from_dict(spec_dict)
-    return [
-        connected_components(sample_graph(spec, t)) == 1 for t in range(lo, hi)
-    ]
+def _connected_trial(spec: EnsembleSpec, trial: int) -> bool:
+    return connected_components(sample_graph(spec, trial)) == 1
 
 
 def run_connectivity(config: ExperimentConfig) -> ExperimentReport:
@@ -405,35 +363,21 @@ def run_connectivity(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     if config.ensemble.kind != KIND_ER:
         raise ValueError("connectivity runs need an ER ensemble")
-    flags = _run_chunked(
-        _conn_chunk, (config.ensemble.to_dict(),), config.trials, config.jobs
-    )
+    flags = _run_trials(_connected_trial, (config.ensemble,), config)
     k = sum(flags)
     lo, hi = wilson_interval(k, config.trials)
-    report = ExperimentReport(
+    return _finish(
+        config,
+        t0,
+        [{"trial": i, "connected": c} for i, c in enumerate(flags)],
         kind="connectivity",
-        config=config.to_dict(),
-        rows=[],
-        flagged={"cap_exceeded": 0, "budget_exceeded": 0},
-        chi_square=None,
-        moment=None,
         connectivity={
             "connected": k,
             "fraction": k / config.trials,
             "ci_low": lo,
             "ci_high": hi,
         },
-        prediction_note=None,
-        versions=_versions(),
-        wallclock=time.time() - t0,
     )
-    if config.out:
-        _write_outputs(
-            config.out,
-            report,
-            [{"trial": i, "connected": bool(c)} for i, c in enumerate(flags)],
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def standard_lift(f: ModuleMap) -> ModuleMap:
     cols = []
     for j in range(f.n):
         cols.append(tuple(f.images[j].coords))
-    return ModuleMap.from_matrix(_lift_modulus(f.target), big, cols)
+    return ModuleMap.from_matrix(f.target.exponent**2, big, cols)
 
 
 def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
@@ -176,14 +176,7 @@ def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
             step = orders[i]
             col.append(f.images[j].coords[i] + step * s.below(big_orders[i] // step))
         cols.append(tuple(col))
-    return ModuleMap.from_matrix(_lift_modulus(f.target), big, cols)
-
-
-def _lift_modulus(group: FinAbGroup) -> int:
-    out = 1
-    for p, lam in group.types:
-        out *= p ** (2 * lam[0])
-    return out
+    return ModuleMap.from_matrix(f.target.exponent**2, big, cols)
 
 
 def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):

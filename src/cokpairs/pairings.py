@@ -516,11 +516,16 @@ def pairing_class_table(
     per_prime = []
     for p, lam in g.types:
         _end_count(p, lam, budget)  # raises before any Gram work
-        # perfectness is an isomorphism invariant, so whole orbits pass or fail
+        r = len(lam)
+        blocks = np.array(list(_enumerate_blocks(p, lam)), dtype=np.int64)
+        if perfect_only:
+            # row i of a block is divisible by p^(lam1 - lam_i); the block is
+            # perfect iff the quotient is invertible mod p (_block_is_perfect)
+            row_scale = np.array([p ** (lam[0] - e) for e in lam], dtype=np.int64)
+            blocks = blocks[_invertible_mod_p(blocks // row_scale[:, None], p)]
         classes = {
-            _block_class(p, lam, sum(blk, ()), budget)
-            for blk in _enumerate_blocks(p, lam)
-            if not perfect_only or _block_is_perfect(p, lam, blk)
+            _block_class(p, lam, flat, budget)
+            for flat in map(tuple, blocks.reshape(-1, r * r).tolist())
         }
         per_prime.append([(p, *cls) for cls in sorted(classes)])
     table = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from . import rng
-from .arith import factorint, partitions
+from .arith import factorint, is_prime, partitions
 from .errors import BudgetExceeded
 from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p
 from .modmaps import ModuleMap
@@ -38,18 +38,12 @@ def _to_decimal(fr: Fraction, digits: int = 12) -> Decimal:
         return Decimal(fr.numerator) / Decimal(fr.denominator)
 
 
-_cl_cache: dict[tuple[int, int], Fraction] = {}
-
-
 def cl_constant_exact(p: int, truncation: int) -> Fraction:
     """Partial product prod_{k=1}^{K} (1 - p^(1-2k)), exact."""
-    key = (p, truncation)
-    if key not in _cl_cache:
-        acc = Fraction(1)
-        for k in range(1, truncation + 1):
-            acc *= 1 - Fraction(1, p ** (2 * k - 1))
-        _cl_cache[key] = acc
-    return _cl_cache[key]
+    acc = Fraction(1)
+    for k in range(1, truncation + 1):
+        acc *= 1 - Fraction(1, p ** (2 * k - 1))
+    return acc
 
 
 def cl_constant(p: int, truncation: int, method: str = "exact") -> tuple[Decimal, Decimal]:
@@ -121,6 +115,9 @@ def clp_probability(
 def groups_at_primes(primes, order_bound: int):
     """All groups supported on `primes` with order <= order_bound (trivial first)."""
     primes = sorted(set(primes))
+    bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        raise ValueError(f"not primes: {bad}")
 
     def rec(i, bound):
         if i == len(primes):

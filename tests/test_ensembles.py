@@ -124,6 +124,17 @@ def test_default_cap():
     assert default_cap(5, 4) == 2
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_non_primes_are_rejected(p):
+    # 0 and 1 used to loop forever; 4 and 6 gave classes of composite "Sylow" parts
+    from cokpairs.theory import groups_at_primes
+
+    with pytest.raises(ValueError):
+        default_cap(p, 64)
+    with pytest.raises(ValueError):
+        groups_at_primes([2, p], 64)
+
+
 def test_fast_classifier_matches_exact_group_side():
     rng = random.Random(7)
     for _ in range(250):

@@ -107,6 +107,30 @@ def test_moment_deterministic():
     assert a.canonical_json() == c.canonical_json()
 
 
+@pytest.mark.parametrize(
+    "run, ensemble, target",
+    [
+        (run_distribution, EnsembleSpec(kind=KIND_UNIFORM, n=8, seed=6, modulus=8), None),
+        (run_moment, EnsembleSpec(kind=KIND_ER, n=12, seed=5, q=0.5), "Z/2|1/2"),
+        (run_connectivity, EnsembleSpec(kind=KIND_ER, n=6, seed=3, q=0.4), None),
+    ],
+)
+def test_runner_jobs_invariant(tmp_path, run, ensemble, target):
+    """37 trials is no multiple of 8 * jobs, so the last slice is short."""
+    reports, logs = [], []
+    for jobs in (1, 3):
+        out = str(tmp_path / f"jobs{jobs}")
+        cfg = ExperimentConfig(
+            ensemble=ensemble, order_bound=16, trials=37, jobs=jobs, out=out, target=target
+        )
+        reports.append(run(cfg).canonical_json())
+        with open(out + ".jsonl", "rb") as fh:
+            logs.append(fh.read())
+    assert reports[0] == reports[1]
+    assert logs[0] == logs[1]
+    assert logs[0].count(b"\n") == 37
+
+
 def test_connectivity_examples():
     # n=2, q=0.5: connected fraction near 1/2
     cfg = ExperimentConfig(
@@ -225,7 +249,7 @@ def test_golden_formats(tmp_path):
     import hashlib
 
     from cokpairs.ensembles import default_cap
-    from cokpairs.experiments import _dist_chunk
+    from cokpairs.experiments import _classify_trial
 
     cfg = ExperimentConfig(
         ensemble=EnsembleSpec(kind=KIND_UNIFORM, n=4, seed=13, modulus=4),
@@ -241,9 +265,7 @@ def test_golden_formats(tmp_path):
         hashlib.sha256(rep.canonical_json().encode()).hexdigest()
         == GOLDEN_CANONICAL_SHA
     )
-    outs = _dist_chunk(
-        (cfg.ensemble.to_dict(), (2,), {2: default_cap(2, 8)}, 0, 12)
-    )
+    outs = [_classify_trial(cfg.ensemble, (2,), {2: default_cap(2, 8)}, t) for t in range(12)]
     assert outs == GOLDEN_OUTCOMES
     with open(str(tmp_path / "golden.jsonl")) as fh:
         lines = [json.loads(line) for line in fh]
