@@ -28,6 +28,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
     if n < 2:

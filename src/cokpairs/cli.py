@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 from .ensembles import (
+    CapExceeded,
     EnsembleSpec,
     KIND_ALPHA,
     KIND_ER,
@@ -43,8 +44,7 @@ def parse_matrix(text: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+def _add_run(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None, help="output path prefix")
@@ -52,6 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ensemble(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--kind", choices=[KIND_ER, KIND_UNIFORM, KIND_ALPHA], default=KIND_ER)
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--q", type=float, default=0.5, help="edge probability (ER)")
@@ -80,18 +81,17 @@ def _ensemble_from_args(args) -> EnsembleSpec:
     )
 
 
-def _config_from_args(args, target: str | None = None) -> ExperimentConfig:
+def _config_from_args(args, **fields) -> ExperimentConfig:
+    """The run's config; fields a subcommand does not take keep their defaults."""
     if args.config:
         with open(args.config) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
     return ExperimentConfig(
         ensemble=_ensemble_from_args(args),
-        primes=tuple(int(p) for p in args.primes.split(",")),
-        order_bound=args.order_bound,
         trials=args.trials,
         jobs=args.jobs,
         out=args.out,
-        target=target,
+        **fields,
     )
 
 
@@ -116,8 +116,6 @@ def cmd_classify(args) -> int:
     primes = tuple(int(p) for p in args.primes.split(","))
     caps = {p: default_cap(p, args.order_bound) for p in primes}
     res = cokernel_pairing_class(m, primes, caps, free_rank)
-    from .ensembles import CapExceeded
-
     if isinstance(res, CapExceeded):
         print(f"cap_exceeded p={res.prime}: {res.detail}")
         return 1
@@ -127,7 +125,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    cfg = _config_from_args(args)
+    primes = tuple(int(p) for p in args.primes.split(","))
+    cfg = _config_from_args(args, primes=primes, order_bound=args.order_bound)
     rep = run_distribution(cfg)
     _print_distribution(rep)
     if args.plot_csv:
@@ -241,7 +240,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sample", help="print one sampled graph or matrix")
     _add_ensemble(p)
-    _add_common(p)
     p.add_argument("--trial", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
@@ -255,7 +253,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("distribution", help="class distribution experiment")
     _add_ensemble(p)
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--primes", type=str, default="2")
     p.add_argument("--order-bound", type=int, default=64)
     p.add_argument("--plot-csv", type=str, default=None)
@@ -263,17 +261,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("moment", help="Sur* moment experiment")
     _add_ensemble(p)
-    _add_common(p)
-    p.add_argument("--primes", type=str, default="2")
-    p.add_argument("--order-bound", type=int, default=64)
+    _add_run(p)
     p.add_argument("--target", type=str, default="Z/2|1/2", help="paired group text")
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("connectivity", help="connected-fraction experiment")
     _add_ensemble(p)
-    _add_common(p)
-    p.add_argument("--primes", type=str, default="2")
-    p.add_argument("--order-bound", type=int, default=64)
+    _add_run(p)
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("verify-lemmas", help="brute-force lemma verification table")

@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .arith import is_prime
+from .arith import require_prime
 from .errors import UnbalancedDistribution
 from .graphs import ERParams, Graph, laplacian, sample_er
-from .groups import HOM_BUDGET, FinAbGroup
+from .groups import FinAbGroup
 from .intmat import IntMatrix
 from .pairings import (
     PairedGroup,
@@ -346,7 +346,6 @@ def cokernel_pairing_class(
     primes,
     exponent_cap: dict[int, int],
     free_rank: int = 0,
-    budget: int = HOM_BUDGET,
 ):
     """Classify the Sylow-P torsion cokernel of symmetric m with its pairing.
 
@@ -374,13 +373,12 @@ def cokernel_pairing_class(
         for p, _ in g.types:
             blocks[p] = gram.scaled_block(p)
     gram = gram_from_scaled_blocks(group, blocks)
-    return canonical_pair_class(PairedGroup(group, gram), budget)
+    return canonical_pair_class(PairedGroup(group, gram))
 
 
 def default_cap(p: int, order_bound: int) -> int:
     """Exponent cap lam1_max + 2 for groups of order <= order_bound."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+    require_prime(p)
     lam1 = 0
     q = p
     while q <= order_bound:

@@ -306,17 +306,16 @@ def _moment_trial(spec: EnsembleSpec, target: PairedGroup, trial: int) -> tuple:
     return src_group.text(), src_gram.text(), c
 
 
-def run_moment(config: ExperimentConfig, target: PairedGroup | None = None) -> ExperimentReport:
+def run_moment(config: ExperimentConfig) -> ExperimentReport:
     """Estimate the expected Sur* count onto the target over the ensemble.
 
     The report carries |mean - 1/|G|| and the three-sigma verdict against
     the predicted limiting moment 1/|G|.
     """
     t0 = time.time()
-    if target is None:
-        if not config.target:
-            raise ValueError("moment runs need a target paired group")
-        target = parse_paired_group(config.target)
+    if not config.target:
+        raise ValueError("moment runs need a target paired group")
+    target = parse_paired_group(config.target)
     records = _run_trials(_moment_trial, (config.ensemble, target), config)
     counts = [r[2] for r in records if r[2] is not None]
     kept = len(counts)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, prod
 
@@ -79,9 +80,6 @@ class QmodZ:
 
     def __str__(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
-
-
-ZERO = QmodZ(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def gram_from_scaled_blocks(group: FinAbGroup, blocks: dict[int, tuple]) -> Pair
         blk = blocks[p]
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
-                rows[i][j] = Fraction(blk[a][b] % q, q)
+                rows[i][j] = Fraction(int(blk[a][b]) % q, q)
     return PairingGram.from_fractions(group, rows)
 
 
@@ -168,20 +166,19 @@ def is_perfect_gram(gram: PairingGram) -> bool:
 
 @dataclass(frozen=True)
 class PairedGroup:
-    """A finite abelian group with a symmetric pairing, plus a perfectness flag."""
+    """A finite abelian group with a symmetric pairing on it."""
 
     group: FinAbGroup
     pairing: PairingGram
-    perfect: bool = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.pairing.group != self.group:
             raise ValueError("pairing is on a different group")
-        computed = is_perfect_gram(self.pairing)
-        if self.perfect is None:
-            object.__setattr__(self, "perfect", computed)
-        elif self.perfect != computed:
-            raise ValueError("perfect flag contradicts the Gram")
+
+    @cached_property
+    def perfect(self) -> bool:
+        """Whether the pairing is perfect, computed on first access."""
+        return is_perfect_gram(self.pairing)
 
     def text(self) -> str:
         return f"{self.group.text()}|{self.pairing.text()}"
@@ -234,28 +231,34 @@ def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return det != 0
 
 
+def _mixed_radix(radices: list[int], scales: list[int], lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the mixed-radix count over `radices`, first digit
+    most significant, with digit k multiplied by scales[k]; int64, shape
+    (hi - lo, len(radices))."""
+    digits = np.array(np.unravel_index(np.arange(lo, hi), radices), dtype=np.int64)
+    return (digits * np.array(scales, dtype=np.int64)[:, None]).T
+
+
 _aut_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
 def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.ndarray:
     """All automorphism matrices of the p-group of type lam, shape (N, r, r).
 
-    Entry (i, j) is the g_i coefficient of the image of g_j, reduced mod
-    p^lam_i.  Enumerates endomorphisms in mixed radix and keeps those whose
-    mod-p reduction is invertible (Nakayama).
+    Entry (i, j) is the g_i coefficient of the image of g_j: p^min(lam_i,
+    lam_j) values spaced by p^(lam_i - min).  Lists the endomorphisms in
+    mixed radix and keeps those whose mod-p reduction is invertible (Nakayama).
     """
     total = _end_count(p, lam, budget)
     key = (p, lam)
     if key not in _aut_cache:
         r = len(lam)
         radices = [p ** min(a, b) for a in lam for b in lam]
-        scales = np.array([p ** (a - min(a, b)) for a in lam for b in lam], dtype=np.int64)
+        scales = [p ** (a - min(a, b)) for a in lam for b in lam]
         keep = []
         chunk = 1 << 18
         for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total))
-            digits = np.array(np.unravel_index(idx, radices), dtype=np.int64)
-            mats = (digits * scales[:, None]).T.reshape(-1, r, r)
+            mats = _mixed_radix(radices, scales, lo, min(lo + chunk, total)).reshape(-1, r, r)
             keep.append(mats[_invertible_mod_p(mats, p)])
         _aut_cache[key] = np.concatenate(keep)
     return _aut_cache[key]
@@ -340,10 +343,6 @@ def aut_preserving_count(a: PairedGroup, budget: int = HOM_BUDGET) -> int:
 # pairing extraction from symmetric integer matrices (exact path)
 
 
-def _fraction_mod1(num: int, den: int) -> QmodZ:
-    return QmodZ(Fraction(num % den, den))
-
-
 def _snf_pairing(m: IntMatrix, side: str):
     """Common core: torsion group, free rank, Gram from SNF transforms."""
     if not m.is_symmetric():
@@ -387,7 +386,7 @@ def _snf_pairing(m: IntMatrix, side: str):
         row = []
         for pj, _, tj, cj in gens:
             num, den = raw[(ti, tj)]
-            row.append(_fraction_mod1(num * ci * cj, den))
+            row.append(QmodZ.of(num * ci * cj, den))
         rows.append(tuple(row))
     gram = PairingGram(group, tuple(rows))
     return group, free_rank, gram
@@ -471,25 +470,19 @@ def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
 # enumeration of all symmetric pairings on a group
 
 
-def _enumerate_blocks(p: int, lam: tuple[int, ...]):
-    """All symmetric scaled blocks mod p^lam1 with compatible entry orders."""
+def _enumerate_blocks(p: int, lam: tuple[int, ...]) -> np.ndarray:
+    """All symmetric scaled blocks mod p^lam1 with compatible entry orders,
+    shape (N, r, r): upper cell (i, j) takes p^min(lam_i, lam_j) values
+    spaced by p^(lam1 - min), cells counted in mixed radix in row-major order."""
     r = len(lam)
-    q = p ** lam[0]
-    cells = [(i, j) for i in range(r) for j in range(i, r)]
-    radices = [p ** min(lam[i], lam[j]) for i, j in cells]
-    steps = [q // rad for rad in radices]
-
-    def rec(k, acc):
-        if k == len(cells):
-            blk = [[0] * r for _ in range(r)]
-            for (i, j), val in zip(cells, acc):
-                blk[i][j] = blk[j][i] = val
-            yield tuple(tuple(row) for row in blk)
-            return
-        for t in range(radices[k]):
-            yield from rec(k + 1, acc + [t * steps[k]])
-
-    yield from rec(0, [])
+    upper = np.triu_indices(r)
+    mins = [min(lam[i], lam[j]) for i, j in zip(*upper)]
+    radices = [p**e for e in mins]
+    vals = _mixed_radix(radices, [p ** (lam[0] - e) for e in mins], 0, prod(radices))
+    blocks = np.zeros((len(vals), r, r), dtype=np.int64)
+    blocks[:, upper[0], upper[1]] = vals
+    blocks[:, upper[1], upper[0]] = vals
+    return blocks
 
 
 def _block_is_perfect(p, lam, blk) -> bool:
@@ -517,7 +510,7 @@ def pairing_class_table(
     for p, lam in g.types:
         _end_count(p, lam, budget)  # raises before any Gram work
         r = len(lam)
-        blocks = np.array(list(_enumerate_blocks(p, lam)), dtype=np.int64)
+        blocks = _enumerate_blocks(p, lam)
         if perfect_only:
             # row i of a block is divisible by p^(lam1 - lam_i); the block is
             # perfect iff the quotient is invertible mod p (_block_is_perfect)

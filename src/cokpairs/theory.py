@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from . import rng
-from .arith import factorint, is_prime, partitions
+from .arith import factorint, partitions, require_prime
 from .errors import BudgetExceeded
 from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p
 from .modmaps import ModuleMap
@@ -39,7 +39,8 @@ def _to_decimal(fr: Fraction, digits: int = 12) -> Decimal:
 
 
 def cl_constant_exact(p: int, truncation: int) -> Fraction:
-    """Partial product prod_{k=1}^{K} (1 - p^(1-2k)), exact."""
+    """Partial product prod_{k=1}^{K} (1 - p^(1-2k)), exact; p must be prime."""
+    require_prime(p)
     acc = Fraction(1)
     for k in range(1, truncation + 1):
         acc *= 1 - Fraction(1, p ** (2 * k - 1))
@@ -53,6 +54,7 @@ def cl_constant(p: int, truncation: int, method: str = "exact") -> tuple[Decimal
     method="decimal_reverse" re-evaluates with 34-digit decimals in reverse
     factor order, an independent path for cross-checking the rounding.
     """
+    require_prime(p)
     if truncation < 1:
         raise ValueError("need at least one factor")
     tail = _to_decimal(Fraction(2, p ** (2 * truncation + 1)))
@@ -75,9 +77,6 @@ class ClpPrediction:
     target: PairClassId
     probability: Decimal
     error_bound: Decimal
-
-    def as_float(self) -> float:
-        return float(self.probability)
 
 
 DEFAULT_TRUNCATION = 40
@@ -115,9 +114,8 @@ def clp_probability(
 def groups_at_primes(primes, order_bound: int):
     """All groups supported on `primes` with order <= order_bound (trivial first)."""
     primes = sorted(set(primes))
-    bad = [p for p in primes if not is_prime(p)]
-    if bad:
-        raise ValueError(f"not primes: {bad}")
+    for p in primes:
+        require_prime(p)
 
     def rec(i, bound):
         if i == len(primes):
@@ -203,7 +201,7 @@ def mass_check(
 # codes and depth
 
 
-def code_distance(f: ModuleMap, max_subset: int | None = None) -> int:
+def code_distance(f: ModuleMap) -> int:
     """Largest w such that deleting any w-1 basis vectors keeps f onto.
 
     0 means f is not even surjective.  Searches deleted sets by increasing
@@ -212,8 +210,7 @@ def code_distance(f: ModuleMap, max_subset: int | None = None) -> int:
     """
     if not f.surjective_avoiding(frozenset()):
         return 0
-    top = f.n if max_subset is None else min(f.n, max_subset)
-    for size in range(1, top + 1):
+    for size in range(1, f.n + 1):
         for sigma in itertools.combinations(range(f.n), size):
             if not f.surjective_avoiding(frozenset(sigma)):
                 return size
@@ -294,6 +291,23 @@ def _census_weights(p: int, lam: tuple[int, ...], fmat):
     return cells, dcells, weights
 
 
+def _linear_terms(p: int, lam: tuple[int, ...], fmat, c_rows, cells) -> dict:
+    """The C-dependent linear part of E_ij mod p^(2*lam1), per cell (i <= j).
+
+    c_rows is the n x r digit matrix of C: digit t on the m-th embedded
+    generator means the functional value t * p^(2*lam1 - lam_m).
+    """
+    r = len(lam)
+    mod = p ** (2 * lam[0])
+    cvals = [[row[m] * p ** (2 * lam[0] - lam[m]) % mod for m in range(r)] for row in c_rows]
+    return {
+        (i, j): sum(
+            fmat[m][i] * cvals[j][m] + (i != j) * fmat[m][j] * cvals[i][m] for m in range(r)
+        ) % mod
+        for (i, j) in cells
+    }
+
+
 def coefficient_table(lift: ModuleMap, c_digits: dict, d_matrices: dict) -> CoefficientTable:
     """E_ij for an explicit (C, D) pair.
 
@@ -303,32 +317,20 @@ def coefficient_table(lift: ModuleMap, c_digits: dict, d_matrices: dict) -> Coef
     """
     big = lift.target
     n = lift.n
-    entries: dict = {}
-    for (i, j) in [(i, j) for i in range(n) for j in range(i, n)]:
-        entries[(i, j)] = {}
+    entries: dict = {(i, j): {} for i in range(n) for j in range(i, n)}
     for p, big_lam in big.types:
         lam = tuple(e // 2 for e in big_lam)
         r = len(lam)
-        lam1 = lam[0]
-        mod = p ** (2 * lam1)
+        mod = p ** (2 * lam[0])
         fmat = lift.block(p)
         cd = c_digits.get(p, [[0] * r for _ in range(n)])
         dm = d_matrices.get(p, [[0] * r for _ in range(r)])
         cells, dcells, weights = _census_weights(p, lam, fmat)
-        cvals = [
-            [cd[jj][m] * p ** (2 * lam1 - lam[m]) % mod for m in range(r)]
-            for jj in range(n)
-        ]
+        lin = _linear_terms(p, lam, fmat, cd, cells)
         dvec = [dm[x][y] % mod for (x, y) in dcells]
-        for (i, j) in cells:
-            if i == j:
-                lin = sum(fmat[m][i] * cvals[i][m] for m in range(r))
-            else:
-                lin = sum(
-                    fmat[m][i] * cvals[j][m] + fmat[m][j] * cvals[i][m] for m in range(r)
-                )
-            quad = sum(d * w for d, w in zip(dvec, weights[(i, j)]))
-            entries[(i, j)][p] = (lin + quad) % mod
+        for cell in cells:
+            quad = sum(d * w for d, w in zip(dvec, weights[cell]))
+            entries[cell][p] = (lin[cell] + quad) % mod
     return CoefficientTable(n, entries)
 
 
@@ -401,19 +403,7 @@ def special_pair_census(
 
         kernel_p = 0
         for c_rows in c_space:
-            cvals = [
-                [c_rows[jj][m] * p ** (2 * lam1 - lam[m]) % mod for m in range(r)]
-                for jj in range(n)
-            ]
-            lin = {}
-            for (i, j) in cells:
-                if i == j:
-                    lin[(i, j)] = sum(fmat[m][i] * cvals[i][m] for m in range(r)) % mod
-                else:
-                    lin[(i, j)] = (
-                        sum(fmat[m][i] * cvals[j][m] + fmat[m][j] * cvals[i][m] for m in range(r))
-                        % mod
-                    )
+            lin = _linear_terms(p, lam, fmat, c_rows, cells)
             for dvec in d_space:
                 nonzero = 0
                 for cell in cells:

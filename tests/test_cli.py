@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cokpairs.cli import format_matrix, main, parse_matrix
 from cokpairs.intmat import IntMatrix
 
@@ -48,6 +50,12 @@ def test_constants(capsys):
     code, out = run_cli(capsys, "constants", "--primes", "2", "--truncation", "20")
     assert code == 0
     assert "0.41942" in out
+
+
+def test_constants_reject_non_primes():
+    for primes in ("4", "6", "2,4"):
+        with pytest.raises(ValueError):
+            main(["constants", "--primes", primes])
 
 
 def test_distribution_smoke(capsys, tmp_path):
@@ -103,6 +111,35 @@ def test_connectivity_smoke(capsys):
     )
     assert code == 0
     assert out.startswith("connected")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--primes", "3"],
+        ["moment", "--order-bound", "7"],
+        ["connectivity", "--primes", "4"],
+        ["connectivity", "--order-bound", "7"],
+        ["sample", "--trials", "5"],
+        ["sample", "--jobs", "2"],
+        ["sample", "--out", "x"],
+        ["sample", "--config", "x.json"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_default_run_config_keeps_primes_and_order_bound(capsys, tmp_path):
+    out = str(tmp_path / "conn")
+    code, _ = run_cli(capsys, "connectivity", "--n", "6", "--trials", "5", "--out", out)
+    assert code == 0
+    with open(out + ".json") as fh:
+        config = json.load(fh)["config"]
+    assert config["primes"] == [2] and config["order_bound"] == 64
 
 
 def test_config_file(capsys, tmp_path):

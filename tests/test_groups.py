@@ -4,6 +4,7 @@ import itertools
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from cokpairs.errors import BudgetExceeded
@@ -172,13 +173,22 @@ def test_construction_sizes():
 
 
 def test_sym2_size_matches_pairing_count():
-    """|Sym_2 G| equals the number of symmetric pairing Grams on G."""
+    """|Sym_2 G| equals the number of symmetric pairing Grams on G, and the
+    enumerated blocks are distinct, symmetric and order-compatible."""
     from cokpairs.pairings import _enumerate_blocks
 
     for g in (G(2), G(4), G(2, 2), G(4, 2), G(9), G(3, 3)):
         total = 1
         for p, lam in g.types:
-            total *= sum(1 for _ in _enumerate_blocks(p, lam))
+            blocks = _enumerate_blocks(p, lam)
+            r = len(lam)
+            assert blocks.shape == (len(blocks), r, r) and blocks.dtype == np.int64
+            assert len({blk.tobytes() for blk in blocks}) == len(blocks)
+            assert (blocks == blocks.transpose(0, 2, 1)).all()
+            for i in range(r):
+                for j in range(r):
+                    assert (blocks[:, i, j] % p ** (lam[0] - min(lam[i], lam[j])) == 0).all()
+            total *= len(blocks)
         assert total == construction_sizes(g)[0]
 
 

@@ -221,17 +221,15 @@ def test_exact_dual_pairing_feeds_pushforward():
 
 def test_empirical_moment_trivial_target():
     spec = EnsembleSpec(kind=KIND_UNIFORM, n=4, seed=1, modulus=4)
-    report = run_moment(ExperimentConfig(ensemble=spec, trials=50), PairedGroup(*trivial_target()))
+    report = run_moment(ExperimentConfig(ensemble=spec, trials=50, target="1|"))
     assert Fraction(report.moment["mean"]) == 1 and report.moment["stderr"] == 0
     assert report.config["trials"] == 50 and report.flagged["budget_exceeded"] == 0
 
 
 def test_empirical_moment_er_small():
     """Small-n sanity: the ER moment for (Z/2, 1/2) sits near 1/2."""
-    z2 = G(2)
-    target = PairedGroup(z2, gram(z2, [[Fraction(1, 2)]]))
     spec = EnsembleSpec(kind=KIND_ER, n=24, seed=31, q=0.5)
-    report = run_moment(ExperimentConfig(ensemble=spec, trials=400), target)
+    report = run_moment(ExperimentConfig(ensemble=spec, trials=400, target="Z/2|1/2"))
     assert report.flagged["budget_exceeded"] == 0
     assert abs(report.moment["mean_float"] - 0.5) <= 4 * report.moment["stderr"]
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from cokpairs import rng
 from cokpairs.errors import BudgetExceeded
 from cokpairs.groups import FinAbGroup
 from cokpairs.modmaps import ModuleMap
-from cokpairs.moments import standard_lift
+from cokpairs.moments import random_lift, standard_lift
 from cokpairs.pairings import PairedGroup, PairingGram
 from cokpairs.theory import (
+    CensusResult,
     cl_constant,
     cl_constant_exact,
     clp_probability,
@@ -61,6 +63,15 @@ def test_cl_tail_bound_is_rigorous():
             bound = Fraction(2, p ** (2 * k + 1))
             assert abs(v_more - v_k) <= bound * v_k
             assert abs(v_more - v_k) <= bound
+
+
+def test_constants_reject_non_primes():
+    for p in (0, 1, 4, 6):
+        with pytest.raises(ValueError):
+            cl_constant_exact(p, 5)
+        for method in ("exact", "decimal_reverse"):
+            with pytest.raises(ValueError):
+                cl_constant(p, 5, method=method)
 
 
 def test_clp_probability_examples():
@@ -184,6 +195,24 @@ def census_grid():
                     yield p, lam, n
 
 
+# (p, lam, n) -> (special pairs = |Sym^2 H| / |G|, pairing checks) for the
+# grid that `cokpairs verify-lemmas` runs
+CENSUS_PINNED = {
+    (2, (1,), 2): (2, 4),
+    (2, (1,), 3): (2, 4),
+    (2, (2,), 2): (4, 16),
+    (2, (2,), 3): (4, 16),
+    (2, (1, 1), 2): (16, 128),
+    (2, (1, 1), 3): (16, 128),
+    (3, (1,), 2): (3, 9),
+    (3, (1,), 3): (3, 9),
+    (3, (2,), 2): (9, 81),
+    (3, (2,), 3): (9, 81),
+    (3, (1, 1), 2): (81, 2187),
+    (3, (1, 1), 3): (81, 2187),
+}
+
+
 def surjective_module_map(g, n):
     r = g.rank
     cols = [tuple(1 if i == j else 0 for i in range(r)) for j in range(n)]
@@ -200,6 +229,8 @@ def test_special_pair_census_grid():
         assert res.pairing_checks == res.kernel_size * (
             res.pairing_checks // res.kernel_size
         )
+        special, checks = CENSUS_PINNED[(p, lam, n)]
+        assert res == CensusResult(special, special, checks, 0, None), (p, lam, n)
 
 
 def test_census_examples():
@@ -237,6 +268,8 @@ def test_nonspecial_pairs_have_many_nonzero_coefficients():
         lift = standard_lift(f)
         w = code_distance(lift)
         res = special_pair_census(f, lift=lift, collect_min_nonzero=True)
+        special, checks = CENSUS_PINNED[(p, lam, n)]
+        assert res == CensusResult(special, special, checks, 0, 1), (p, lam, n)
         if res.min_nonzero_nonspecial is not None:
             assert res.min_nonzero_nonspecial >= max(1, math.ceil(w / 2)), (p, lam, n)
 
@@ -247,6 +280,25 @@ def test_coefficient_table_zero_pair_vanishes():
     lift = standard_lift(f)
     table = coefficient_table(lift, {2: [[0], [0]]}, {2: [[0]]})
     assert table.nonzero_cells() == 0
+
+
+def test_coefficient_table_nonzero_pairs_pinned():
+    """E_ij for explicit nonzero (C, D) on standard and random lifts."""
+    cases = [
+        (G(2), 2, None, {2: [[1], [0]]}, {2: [[1]]}, [3, 0, 0]),
+        (G(3), 2, None, {3: [[2], [1]]}, {3: [[5]]}, [2, 3, 0]),
+        (G(2, 2), 3, None, {2: [[1, 0], [0, 1], [1, 1]]}, {2: [[1, 2], [0, 3]]}, [3, 2, 2, 1, 2, 0]),
+        (G(3), 3, 1, {3: [[2], [1], [1]]}, {3: [[4]]}, [4, 6, 3, 0, 0, 0]),
+        (G(4), 2, 1, {2: [[3], [1]]}, {2: [[7]]}, [11, 4, 0]),
+    ]
+    for g, n, lift_seed, c_digits, d_matrices, expected in cases:
+        f = surjective_module_map(g, n)
+        lift = standard_lift(f) if lift_seed is None else random_lift(f, rng.stream(lift_seed).u64())
+        table = coefficient_table(lift, c_digits, d_matrices)
+        ((p, _),) = g.types
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        assert [table.entries[cell][p] for cell in cells] == expected, g.text()
+        assert table.nonzero_cells() == sum(1 for e in expected if e)
 
 
 def test_robust_weak_classifier():
