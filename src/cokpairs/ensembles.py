@@ -268,6 +268,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in (KIND_ER, KIND_ALPHA, KIND_UNIFORM):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("ensemble needs n >= 1")
         if self.kind == KIND_UNIFORM and self.modulus < 2:
             raise ValueError("uniform ensemble needs modulus >= 2")
         if self.kind == KIND_ALPHA:

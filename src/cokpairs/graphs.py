@@ -60,6 +60,8 @@ class ERParams:
     seed: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("graph needs n >= 1")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("edge probability must lie in [0, 1]")
 

@@ -220,15 +220,7 @@ class GroupHom:
         return GroupHom(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
 
     def is_surjective(self) -> bool:
-        # Nakayama per prime: reduction mod p must have full row rank on the p-block.
-        mat = self.matrix()
-        for p, lam in self.target.types:
-            rows = self.target.generator_indices(p)
-            cols = self.source.generator_indices(p)
-            reduced = [[mat[i][j] % p for j in cols] for i in rows]
-            if _rank_mod_p(reduced, p) < len(lam):
-                return False
-        return True
+        return _onto(self.target, [img.coords for img in self.images])
 
     def is_automorphism(self) -> bool:
         return self.source == self.target and self.is_surjective()
@@ -261,6 +253,17 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def _onto(target: FinAbGroup, columns) -> bool:
+    """Whether the coordinate columns generate target (Nakayama): for each
+    prime p, the p-rows of the columns have full rank mod p.  A column of
+    another prime's order is 0 in the p-rows, so it may be passed as well."""
+    return all(
+        _rank_mod_p([[col[i] for col in columns] for i in target.generator_indices(p)], p)
+        == len(lam)
+        for p, lam in target.types
+    )
 
 
 def hom_count(a: FinAbGroup, b: FinAbGroup) -> int:

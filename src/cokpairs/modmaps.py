@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FinAbGroup, GroupElement, _rank_mod_p, subgroup_order
+from .groups import FinAbGroup, GroupElement, _onto, subgroup_order
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,9 @@ class ModuleMap:
 
     def surjective_avoiding(self, excluded: frozenset[int] = frozenset()) -> bool:
         """Whether the restriction to basis vectors outside `excluded` is onto."""
-        cols = [j for j in range(self.n) if j not in excluded]
-        for p, lam in self.target.types:
-            idx = list(self.target.generator_indices(p))
-            mat = [[self.images[j].coords[i] % p for j in cols] for i in idx]
-            if _rank_mod_p(mat, p) < len(lam):
-                return False
-        return True
+        return _onto(
+            self.target, [img.coords for j, img in enumerate(self.images) if j not in excluded]
+        )
 
     def image_index_avoiding(self, excluded: frozenset[int]) -> int:
         """Index [target : image of the restricted map]."""

@@ -91,7 +91,7 @@ def _congruence_table_single_prime(m_rows, n, p, lam):
         if not ok:
             continue
         # surjectivity mod p
-        if _rank_mod_p([[x % p for x in fi] for fi in f], p) < r:
+        if _rank_mod_p(f, p) < r:
             continue
         key = []
         for i in range(r):

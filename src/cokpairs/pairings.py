@@ -18,8 +18,10 @@ by `_block_class`, the first time one of its members is met; every member is
 then indexed under (canonical block, orbit size, stabilizer size), and class
 ids, class tables and |Aut(G, pairing)| are all read from that index.
 
-No floating point is used.  Automorphisms are the endomorphisms whose mod-p
-reduction is invertible (Nakayama), decided by an exact mod-p determinant.
+No floating point is used.  An endomorphism is an automorphism iff its mod-p
+residue is invertible (Nakayama), so the exact mod-p determinant is computed
+once per residue matrix and the automorphisms are the lifts of the invertible
+ones.
 The batched congruence A^T C A is reduced mod q = p^lam1 between its two
 products, so int64 sums stay below r q^2; q <= |End(G)| <= budget keeps that
 under 2^63 at the default budget, and a budget that would not raises
@@ -200,12 +202,11 @@ class PairClassId:
 # automorphism matrices and the orbit index, per prime block
 
 
-def _end_count(p: int, lam: tuple[int, ...], budget: int) -> int:
-    """|End| of the p-group of type lam; raises BudgetExceeded above budget."""
+def _check_end_budget(p: int, lam: tuple[int, ...], budget: int) -> None:
+    """Raise BudgetExceeded if |End| of the p-group of type lam exceeds budget."""
     total = prod(p ** min(a, b) for a in lam for b in lam)
     if total > budget:
         raise BudgetExceeded(f"|End| = {total} for p={p}, type {lam} exceeds budget {budget}")
-    return total
 
 
 def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
@@ -231,11 +232,11 @@ def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return det != 0
 
 
-def _mixed_radix(radices: list[int], scales: list[int], lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the mixed-radix count over `radices`, first digit
-    most significant, with digit k multiplied by scales[k]; int64, shape
-    (hi - lo, len(radices))."""
-    digits = np.array(np.unravel_index(np.arange(lo, hi), radices), dtype=np.int64)
+def _mixed_radix(radices: list[int], scales: list[int]) -> np.ndarray:
+    """The mixed-radix count over `radices`, first digit most significant,
+    with digit k multiplied by scales[k]; int64, shape (prod(radices),
+    len(radices))."""
+    digits = np.array(np.unravel_index(np.arange(prod(radices)), radices), dtype=np.int64)
     return (digits * np.array(scales, dtype=np.int64)[:, None]).T
 
 
@@ -246,21 +247,23 @@ def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.
     """All automorphism matrices of the p-group of type lam, shape (N, r, r).
 
     Entry (i, j) is the g_i coefficient of the image of g_j: p^min(lam_i,
-    lam_j) values spaced by p^(lam_i - min).  Lists the endomorphisms in
-    mixed radix and keeps those whose mod-p reduction is invertible (Nakayama).
+    lam_j) values spaced by p^(lam_i - min), so it is 0 mod p unless
+    lam_i <= lam_j.  A matrix is an automorphism iff its residue mod p is
+    invertible (Nakayama), so the residues are listed once (p values on each
+    cell with lam_i <= lam_j) and every lift is added to each invertible one.
     """
-    total = _end_count(p, lam, budget)
+    _check_end_budget(p, lam, budget)
     key = (p, lam)
     if key not in _aut_cache:
         r = len(lam)
-        radices = [p ** min(a, b) for a in lam for b in lam]
-        scales = [p ** (a - min(a, b)) for a in lam for b in lam]
-        keep = []
-        chunk = 1 << 18
-        for lo in range(0, total, chunk):
-            mats = _mixed_radix(radices, scales, lo, min(lo + chunk, total)).reshape(-1, r, r)
-            keep.append(mats[_invertible_mod_p(mats, p)])
-        _aut_cache[key] = np.concatenate(keep)
+        cells = [(a, b) for a in lam for b in lam]
+        residues = _mixed_radix([p if a <= b else 1 for a, b in cells], [1] * r * r)
+        residues = residues[_invertible_mod_p(residues.reshape(-1, r, r), p)]
+        lifts = _mixed_radix(
+            [p ** (min(a, b) - (a <= b)) for a, b in cells],
+            [p ** max(a - b, 1) for a, b in cells],
+        )
+        _aut_cache[key] = (residues[:, None] + lifts).reshape(-1, r, r)
     return _aut_cache[key]
 
 
@@ -290,7 +293,7 @@ def _block_class(
     Aut(G_p).  The first member met pays the one scan of its orbit, which
     indexes every member; later members are lookups.
     """
-    _end_count(p, lam, budget)
+    _check_end_budget(p, lam, budget)
     index = _orbit_index.setdefault((p, lam), {})
     hit = index.get(flat_block)
     if hit is None:
@@ -478,7 +481,7 @@ def _enumerate_blocks(p: int, lam: tuple[int, ...]) -> np.ndarray:
     upper = np.triu_indices(r)
     mins = [min(lam[i], lam[j]) for i, j in zip(*upper)]
     radices = [p**e for e in mins]
-    vals = _mixed_radix(radices, [p ** (lam[0] - e) for e in mins], 0, prod(radices))
+    vals = _mixed_radix(radices, [p ** (lam[0] - e) for e in mins])
     blocks = np.zeros((len(vals), r, r), dtype=np.int64)
     blocks[:, upper[0], upper[1]] = vals
     blocks[:, upper[1], upper[0]] = vals
@@ -508,7 +511,7 @@ def pairing_class_table(
     into isomorphism classes, with orbit and stabilizer sizes."""
     per_prime = []
     for p, lam in g.types:
-        _end_count(p, lam, budget)  # raises before any Gram work
+        _check_end_budget(p, lam, budget)  # raises before any Gram work
         r = len(lam)
         blocks = _enumerate_blocks(p, lam)
         if perfect_only:

@@ -22,7 +22,7 @@ from math import prod
 from . import rng
 from .arith import factorint, partitions, require_prime
 from .errors import BudgetExceeded
-from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p
+from .groups import HOM_BUDGET, FinAbGroup
 from .modmaps import ModuleMap
 from .moments import lift_codomain, random_lift
 from .pairings import (
@@ -137,15 +137,8 @@ def groups_at_primes(primes, order_bound: int):
                     out[p] = lam
                 yield out
 
-    seen = set()
-    out = []
-    for types in rec(0, order_bound):
-        g = FinAbGroup.from_prime_types(types)
-        if g.types not in seen:
-            seen.add(g.types)
-            out.append(g)
-    out.sort(key=lambda g: (g.order, g.text()))
-    return out
+    groups = map(FinAbGroup.from_prime_types, rec(0, order_bound))
+    return sorted(groups, key=lambda g: (g.order, g.text()))
 
 
 @dataclass(frozen=True)
@@ -362,11 +355,7 @@ def special_pair_census(
         lift = random_lift(f, rng.stream(seed).u64())
     if lift.target != lift_codomain(group):
         raise ValueError("lift has the wrong codomain")
-    big_ok = all(
-        _rank_mod_p([[x % p for x in row] for row in lift.block(p)], p) == len(lam)
-        for p, lam in group.types
-    )
-    if not big_ok:
+    if not lift.surjective_avoiding():
         raise ValueError("census requires a surjective lift")
 
     n = f.n

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cokpairs.ensembles import (
     CapExceeded,
@@ -22,8 +24,8 @@ from cokpairs.ensembles import (
     sample_symmetric,
     sylow_paired_group,
 )
-from cokpairs.errors import UnbalancedDistribution
-from cokpairs.graphs import complete_graph, laplacian
+from cokpairs.errors import BudgetExceeded, UnbalancedDistribution
+from cokpairs.graphs import ERParams, complete_graph, laplacian
 from cokpairs.groups import FinAbGroup
 from cokpairs.intmat import IntMatrix
 from cokpairs.pairings import (
@@ -133,6 +135,72 @@ def test_non_primes_are_rejected(p):
         default_cap(p, 64)
     with pytest.raises(ValueError):
         groups_at_primes([2, p], 64)
+
+
+def test_ensembles_reject_n_below_one():
+    # n <= 0 used to run: `distribution --n -5` reported every trial as "1|"
+    from cokpairs.cli import main
+
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            EnsembleSpec(kind=KIND_ER, n=n, seed=1, q=0.5)
+        with pytest.raises(ValueError):
+            EnsembleSpec(kind=KIND_UNIFORM, n=n, seed=1, modulus=2)
+        with pytest.raises(ValueError):
+            ERParams(n, 0.5, 1)
+    with pytest.raises(ValueError):
+        main(["sample", "--n", "-5"])
+
+
+def _congruent(rows, ops):
+    """M and P M P^T, with P the product of the row operations (i, j, k):
+    negate row i when i == j, else add k times row j to row i."""
+    n = len(rows)
+    pm = IntMatrix.from_rows([[int(a == b) for b in range(n)] for a in range(n)])
+    for i, j, k in ops:
+        op = [[int(a == b) for b in range(n)] for a in range(n)]
+        op[i][j] = -1 if i == j else k
+        pm = IntMatrix.from_rows(op) @ pm
+    m = IntMatrix.from_rows(rows)
+    return m, pm @ m @ pm.transpose()
+
+
+@st.composite
+def _congruent_pair(draw):
+    """A symmetric M (n <= 5, entries in [-9, 9]) and P M P^T for a
+    unimodular P made of one to four row operations."""
+    n = draw(st.integers(1, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    index = st.integers(0, n - 1)
+    op = st.tuples(index, index, st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    ops = draw(st.lists(op, min_size=1, max_size=4))
+    return _congruent(rows, ops)
+
+
+def _class_outcome(m, free_rank):
+    primes = (2, 3)
+    try:
+        res = cokernel_pairing_class(m, primes, {p: default_cap(p, 64) for p in primes}, free_rank)
+    except BudgetExceeded:
+        return "budget"
+    return ("cap", res.prime) if isinstance(res, CapExceeded) else res.text
+
+
+@given(_congruent_pair())
+@example(_congruent([[9, -2, -3], [-2, 7, 7], [-3, 7, 3]], [(1, 0, 2), (2, 2, 0)]))  # cap at 3
+@example(  # |End| over budget
+    _congruent(
+        [[-3, 6, 9, -6], [6, 0, 6, -6], [9, 6, 6, 6], [-6, -6, 6, -3]], [(0, 3, -1), (2, 1, 3)]
+    )
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_class_is_invariant_under_unimodular_congruence(pair):
+    m, congruent = pair
+    free_rank = torsion_pairing(m)[1]
+    assert _class_outcome(m, free_rank) == _class_outcome(congruent, free_rank)
 
 
 def test_fast_classifier_matches_exact_group_side():

@@ -238,6 +238,37 @@ def test_subgroup_order():
     assert subgroup_order(g, []) == 1
 
 
+def test_onto_check_matches_subgroup_closure():
+    """The Nakayama onto check agrees with the order of the generated
+    subgroup, computed by closure: on every map (Z/a)^n -> G, n <= 3, with
+    every excluded set, and on every hom between a few multi-prime groups."""
+    from cokpairs.modmaps import ModuleMap
+
+    for target in (G(4), G(2, 2), G(6), G(3, 3)):
+        elements = list(itertools.product(*(range(o) for o in target.generator_orders)))
+        for n in range(4):
+            for columns in itertools.product(elements, repeat=n):
+                f = ModuleMap.from_matrix(target.exponent, target, columns)
+                for size in range(n + 1):
+                    for sigma in map(frozenset, itertools.combinations(range(n), size)):
+                        assert f.surjective_avoiding(sigma) == (
+                            f.image_index_avoiding(sigma) == 1
+                        ), (target.text(), columns, sigma)
+    for source, target in (
+        (G(12), G(6)),
+        (G(4, 3), G(2, 3)),
+        (G(6, 2), G(2, 2, 3)),
+        (G(18, 2), G(6, 3)),
+        (G(30), G(10)),
+    ):
+        homs = list(enumerate_homs(source, target))
+        assert len(homs) == hom_count(source, target)
+        for f in homs:
+            assert f.is_surjective() == (
+                subgroup_order(target, list(f.images)) == target.order
+            ), f.matrix()
+
+
 def test_cyclic_prime_power_aut_order():
     """|Aut(Z/p^k)| = p^k - p^(k-1)."""
     assert aut_order(G(8)) == 4

@@ -455,9 +455,9 @@ def test_budget_errors_do_not_depend_on_call_history():
 
 
 def test_aut_matrices_match_enumerated_automorphisms():
-    """The exact mod-p invertibility test keeps exactly Aut(G), counted by
-    enumerating homomorphisms, on every p-group of order <= 64 (p = 2, 3)
-    with |End| <= 4096."""
+    """The automorphisms listed from invertible mod-p residues are distinct
+    and, as a set, equal Aut(G) enumerated in pure Python, on every p-group
+    of order <= 64 (p = 2, 3) with |End| <= 4096."""
     from cokpairs.groups import aut_order, hom_count
     from cokpairs.pairings import _aut_matrices
     from cokpairs.theory import groups_at_primes
@@ -471,7 +471,9 @@ def test_aut_matrices_match_enumerated_automorphisms():
     assert len(groups) == 24
     for g in groups:
         ((p, lam),) = g.types
-        assert len(_aut_matrices(p, lam)) == aut_order(g), g.text()
+        auts = [tuple(map(tuple, a)) for a in _aut_matrices(p, lam).tolist()]
+        assert len(auts) == len(set(auts)) == aut_order(g), g.text()
+        assert set(auts) == {phi.matrix() for phi in enumerate_automorphisms(g)}, g.text()
 
 
 def _orbit_minimum_text(pg, auts):
