@@ -6,10 +6,12 @@ p-part of a cokernel with its pairing works modulo p^(2k) for an exponent
 cap k: the pairing of a p-part with exponent p^e is determined by the
 matrix entries modulo p^(2e), so every group below the cap is resolved
 exactly, and anything at or beyond the cap is flagged CapExceeded rather
-than silently truncated.  The reduction runs on numpy int64 residue arrays
-while n * p^(2K) < 2^62 (K = 2k, n the matrix size), which bounds every
-product and dot product it forms; beyond that the same code runs on
-object arrays of Python ints.
+than silently truncated.  The reduction carries only its row transform u,
+and both pairings, on the group and on its dual, are read from the Gram
+u m u^T (the exact Smith path in `pairings` keeps v, as the oracle).  It
+runs on numpy int64 residue arrays while n * p^(2K) < 2^62 (K = 2k, n the
+matrix size), which bounds every product and dot product it forms; beyond
+that the same code runs on object arrays of Python ints.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .errors import UnbalancedDistribution
 from .graphs import ERParams, Graph, laplacian, sample_er
 from .groups import FinAbGroup
 from .intmat import IntMatrix
-from .pairings import (
-    PairedGroup,
-    PairingGram,
-    canonical_pair_class,
-    gram_from_scaled_blocks,
-)
+from .pairings import PairedGroup, canonical_pair_class, gram_from_scaled_blocks
 
 
 @dataclass(frozen=True)
@@ -71,19 +68,19 @@ def _least_valuation(block, p, big_k):
     return None
 
 
-def _padic_snf(a, p, big_k, want_u, want_v):
-    """Diagonalize the residue array a (mod p^big_k, from _residues) in place.
+def _padic_snf(a, p, big_k):
+    """Reduce the residue array a (mod p^big_k, from _residues) in place.
 
-    Returns (exponents, u, v): u a v = diag(p^e) mod p^big_k with unimodular
-    transforms (arrays, or None when not wanted); exponents only for pivots
-    resolved below big_k, ascending.  Remaining rows and columns are zero mod
-    p^big_k.  Left of the pivot column the active rows are already zero, so
-    row updates touch only the active columns.
+    Returns (exponents, u): u a v = diag(p^e) mod p^big_k for the unimodular
+    row transform u and a column transform v that is never formed;
+    exponents only for pivots resolved below big_k, ascending.  The remaining
+    rows of u a are zero mod p^big_k.  Left of the pivot column the active
+    rows are already zero, so row updates touch only the active columns;
+    pivot rows are never read again, so a is left as scratch.
     """
     nrows, ncols = a.shape
     mod = p**big_k
-    u = np.eye(nrows, dtype=a.dtype) if want_u else None
-    v = np.eye(ncols, dtype=a.dtype) if want_v else None
+    u = np.eye(nrows, dtype=a.dtype)
     exps = []
     for t in range(min(nrows, ncols)):
         pivot = _least_valuation(a[t:, t:], p, big_k)
@@ -92,40 +89,61 @@ def _padic_snf(a, p, big_k, want_u, want_v):
         e, i, j = pivot
         if i:
             a[[t, t + i]] = a[[t + i, t]]
-            if u is not None:
-                u[[t, t + i]] = u[[t + i, t]]
+            u[[t, t + i]] = u[[t + i, t]]
         if j:
             a[:, [t, t + j]] = a[:, [t + j, t]]
-            if v is not None:
-                v[:, [t, t + j]] = v[:, [t + j, t]]
         pk = p**e
         inv = pow(int(a[t, t]) // pk, -1, mod)
         if inv != 1:
             a[t, t:] = a[t, t:] * inv % mod
-            if u is not None:
-                u[t] = u[t] * inv % mod
+            u[t] = u[t] * inv % mod
         q = a[t + 1 :, t] // pk
         a[t + 1 :, t:] = (a[t + 1 :, t:] - np.outer(q, a[t, t:])) % mod
-        if u is not None:
-            u[t + 1 :] = (u[t + 1 :] - np.outer(q, u[t])) % mod
-        q = a[t, t + 1 :] // pk
-        a[t, t + 1 :] = 0
-        if v is not None:
-            v[:, t + 1 :] = (v[:, t + 1 :] - np.outer(v[:, t], q)) % mod
+        u[t + 1 :] = (u[t + 1 :] - np.outer(q, u[t])) % mod
         exps.append(e)
-    return exps, u, v
+    return exps, u
 
 
-def _scaled_gram(w, m, p, exps, mod):
-    """Scaled Gram block of the generator rows w (orders p^exps, descending)
-    under the symmetric residue array m: entry (a, b) is w_a m w_b^T mod
-    p^(e_a + e_b), rescaled to the common denominator p^exps[0].  The
-    division is exact because the value is killed by both generator orders.
+def _dual_block(u, exps, sym, p, mod):
+    """(lam, scaled Gram block) of the rows of u with exponent e >= 1, or
+    (None, None) when there are none.
+
+    Rows are taken in order (-e, -row), so lam is descending.  Entry (a, b)
+    is w_a sym w_b^T mod p^(e_a + e_b) for the chosen rows w, rescaled to
+    the common denominator p^lam1; the division is exact because the value
+    is killed by both generator orders.
     """
-    g = w @ (m @ w.T % mod) % mod
-    e = np.array(exps, dtype=w.dtype)
+    gens = sorted((-e, -i) for i, e in enumerate(exps) if e >= 1)
+    if not gens:
+        return None, None
+    lam = tuple(-e for e, _ in gens)
+    w = u[[-i for _, i in gens]]
+    g = w @ (sym @ w.T % mod) % mod
+    e = np.array(lam, dtype=w.dtype)
     den = p ** (e[:, None] + e[None, :])
-    return tuple(map(tuple, (g % den * p ** exps[0] // den).tolist()))
+    return lam, tuple(map(tuple, (g % den * p ** lam[0] // den).tolist()))
+
+
+def _sylow_block(rows, p, cap, free_rank):
+    """(lam, scaled Gram block) of the Sylow p-part of the torsion cokernel
+    of the symmetric matrix rows, (None, None) when it is trivial, or
+    CapExceeded.  The Gram is u m u^T, which serves the group and its dual
+    alike (see `pairings`).
+    """
+    if free_rank < 0:
+        raise ValueError(f"free rank must be >= 0, got {free_rank}")
+    n = len(rows)
+    big_k = 2 * cap
+    mod = p**big_k
+    m = _residues(rows, (n, n), mod)
+    exps, u = _padic_snf(m.copy(), p, big_k)
+    unresolved = n - len(exps)
+    if unresolved > free_rank:
+        return CapExceeded(p, f"{unresolved} unresolved invariants beyond known free rank {free_rank}")
+    over = [e for e in exps if e >= cap]
+    if over:
+        return CapExceeded(p, f"resolved exponent {max(over)} reaches cap {cap}")
+    return _dual_block(u, exps, m, p, mod)
 
 
 def sylow_paired_group(
@@ -142,30 +160,19 @@ def sylow_paired_group(
     graph Laplacian); unresolved diagonal entries beyond it, or resolved
     exponents at or above cap, yield CapExceeded.
 
+    side is "group" (the pairing on the cokernel) or "dual" (the induced
+    pairing on its dual).  For a symmetric matrix the two are isomorphic and
+    both are read from the Gram u m u^T, so both values give one result.
+
     Returns (FinAbGroup, PairingGram) with generators in canonical order
     (exponents descending), or CapExceeded.
     """
-    n = len(m_rows)
-    big_k = 2 * cap
-    mod = p**big_k
-    m = _residues(m_rows, (n, n), mod)
-    want_u = side == "dual"
-    exps, u, v = _padic_snf(m.copy(), p, big_k, want_u, not want_u)
-    unresolved = n - len(exps)
-    if unresolved > free_rank:
-        return CapExceeded(p, f"{unresolved} unresolved invariants beyond known free rank {free_rank}")
-    over = [e for e in exps if e >= cap]
-    if over:
-        return CapExceeded(p, f"resolved exponent {max(over)} reaches cap {cap}")
-
-    tor = [(i, e) for i, e in enumerate(exps) if e >= 1]
-    if not tor:
-        group = FinAbGroup.trivial()
-        return group, PairingGram(group, ())
-    tor.reverse()  # canonical order: exponents descending
-    idx = [i for i, _ in tor]
-    lam = tuple(e for _, e in tor)
-    block = _scaled_gram(u[idx] if want_u else v[:, idx].T, m, p, lam, mod)
+    if side not in ("group", "dual"):
+        raise ValueError(f"side must be 'group' or 'dual', got {side!r}")
+    res = _sylow_block(m_rows, p, cap, free_rank)
+    if isinstance(res, CapExceeded):
+        return res
+    lam, block = res
     group = FinAbGroup.from_prime_types({p: lam})
     return group, gram_from_scaled_blocks(group, {p: block})
 
@@ -184,15 +191,9 @@ def quotient_dual_pairing(pres_rows, sym_rows, p, k):
     w = len(pres_rows[0]) if h else 0
     big_k = 2 * k
     mod = p**big_k
-    exps, u, _ = _padic_snf(_residues(pres_rows, (h, w), mod), p, big_k, True, False)
+    exps, u = _padic_snf(_residues(pres_rows, (h, w), mod), p, big_k)
     mus = [min(e, k) for e in exps] + [k] * (h - len(exps))
-    gens = [(i, mu) for i, mu in enumerate(mus) if mu >= 1]
-    if not gens:
-        return None, None
-    gens.sort(key=lambda t: (-t[1], -t[0]))
-    lam = tuple(mu for _, mu in gens)
-    sym = _residues(sym_rows, (h, h), mod)
-    return lam, _scaled_gram(u[[i for i, _ in gens]], sym, p, lam, mod)
+    return _dual_block(u, mus, _residues(sym_rows, (h, h), mod), p, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -354,28 +355,26 @@ def cokernel_pairing_class(
     Returns a PairClassId, or CapExceeded when some p-part exponent reaches
     the cap (the sampling modulus cannot resolve it).  free_rank is the
     known rational kernel dimension of m.  BudgetExceeded propagates from
-    the classification step.
+    the classification step; a repeated prime or free_rank < 0 raises
+    ValueError.
     """
     if not m.is_symmetric():
         from .errors import NotSymmetric
 
         raise NotSymmetric("cokernel_pairing_class needs a symmetric matrix")
+    primes = sorted(primes)
+    for p, q in zip(primes, primes[1:]):
+        if p == q:
+            raise ValueError(f"prime {p} is repeated")
     rows = [list(r) for r in m.data]
-    parts: list[tuple[FinAbGroup, PairingGram]] = []
-    for p in sorted(primes):
-        res = sylow_paired_group(rows, p, exponent_cap[p], free_rank, side="group")
+    types, blocks = {}, {}
+    for p in primes:
+        res = _sylow_block(rows, p, exponent_cap[p], free_rank)
         if isinstance(res, CapExceeded):
             return res
-        parts.append(res)
-    group = FinAbGroup.trivial()
-    for g, _ in parts:
-        group = group.direct_sum(g)
-    blocks = {}
-    for g, gram in parts:
-        for p, _ in g.types:
-            blocks[p] = gram.scaled_block(p)
-    gram = gram_from_scaled_blocks(group, blocks)
-    return canonical_pair_class(PairedGroup(group, gram))
+        types[p], blocks[p] = res
+    group = FinAbGroup.from_prime_types(types)
+    return canonical_pair_class(PairedGroup(group, gram_from_scaled_blocks(group, blocks)))
 
 
 def default_cap(p: int, order_bound: int) -> int:

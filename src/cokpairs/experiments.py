@@ -142,13 +142,15 @@ def _run_trials(trial_fn, static_args: tuple, config: ExperimentConfig) -> list:
 
     With jobs > 1, contiguous slices of ceil(trials / (8 jobs)) trials run on
     a process pool; trial_fn must be a module-level function so it pickles.
+    Under fork every worker starts at the first submit, so the pool gets at
+    most one worker per slice.
     """
     trials = range(config.trials)
     if config.jobs == 1:
         return _run_slice(trial_fn, static_args, trials)
     per = -(-config.trials // (8 * config.jobs))
     slices = [trials[lo : lo + per] for lo in range(0, config.trials, per)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as ex:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(config.jobs, len(slices))) as ex:
         parts = ex.map(functools.partial(_run_slice, trial_fn, static_args), slices)
         return [out for part in parts for out in part]
 

@@ -270,14 +270,8 @@ def tensor_quotient_with_dual_pairing(
     else:
         pres = [list(row) for row in m.data]
         sym = pres
-    group = FinAbGroup.trivial()
-    blocks = {}
+    types, blocks = {}, {}
     for p, k in factorint(b).items():
-        lam, block = quotient_dual_pairing(pres, sym, p, k)
-        if lam is None:
-            continue
-        part = FinAbGroup.from_prime_types({p: lam})
-        group = group.direct_sum(part)
-        blocks[p] = block
-    gram = gram_from_scaled_blocks(group, blocks)
-    return group, gram
+        types[p], blocks[p] = quotient_dual_pairing(pres, sym, p, k)
+    group = FinAbGroup.from_prime_types(types)
+    return group, gram_from_scaled_blocks(group, blocks)

@@ -10,6 +10,10 @@ straight from the transforms, which collapses the whole computation to
 
 restricted to indices with d_i > 1.  A single Gram type serves pairings on a
 group and on its dual; which side is meant is the caller's bookkeeping.
+This exact path keeps both transforms and is the oracle the tests compare
+the fast path against.  The fast path (`ensembles`) works mod p^(2k) and
+takes both Grams from u m u^T: m is symmetric, so v^T m u^T = diag(d) too,
+and the rows of u lift generators of the group as well as of its dual.
 
 Classification canonicalizes a Gram by taking the lexicographically minimal
 matrix over the automorphism orbit, prime by prime (entries live in Z/p^lam1

@@ -249,6 +249,59 @@ def test_fast_classifier_matches_exact_dual_side():
             )
 
 
+@st.composite
+def _sylow_case(draw):
+    """(p, M) with p in {5, 7} and M symmetric, n <= 5, its entries up to
+    10^6 in size or small multiples of p^k, with up to two zero rows and
+    columns (free rank > 0) in random places."""
+    p = draw(st.sampled_from([5, 7]))
+    n = draw(st.integers(1, 5))
+    zero = draw(st.integers(0, min(2, n)))
+    multiple = st.builds(lambda c, k: c * p**k, st.integers(-4, 4), st.integers(1, 4))
+    entry = st.one_of(st.integers(-(10**6), 10**6), multiple)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - zero):
+        for j in range(i, n - zero):
+            rows[i][j] = rows[j][i] = draw(entry)
+    perm = draw(st.permutations(range(n)))
+    return p, [[rows[i][j] for j in perm] for i in perm]
+
+
+def _outcome(classify):
+    try:
+        return classify().text
+    except BudgetExceeded:
+        return "budget"
+
+
+@given(_sylow_case())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fast_classifier_matches_exact_torsion_pairing(case):
+    """The mod-p^(2k) classifier against the exact Smith-form pairing, with
+    the cap one above lam1 so that exponents reach cap - 1."""
+    p, rows = case
+    m = IntMatrix.from_rows(rows)
+    tor, free, gram = torsion_pairing(m)
+    lam = tor.partition(p)
+    cap = (lam[0] if lam else 0) + 1
+    fast = _outcome(lambda: cokernel_pairing_class(m, [p], {p: cap}, free))
+    exact = _outcome(lambda: canonical_pair_class(restrict_to_sylow(PairedGroup(tor, gram), {p})))
+    assert fast == exact
+    group_side = sylow_paired_group(rows, p, cap, free, side="group")
+    assert group_side == sylow_paired_group(rows, p, cap, free, side="dual")
+
+
+def test_malformed_arguments_raise():
+    rows = [[2, 1], [1, 2]]
+    m = IntMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="prime 3 is repeated"):
+        cokernel_pairing_class(m, [3, 3], {3: 3})
+    with pytest.raises(ValueError, match="free rank must be >= 0"):
+        cokernel_pairing_class(m, [3], {3: 3}, free_rank=-1)
+    with pytest.raises(ValueError, match="side must be"):
+        sylow_paired_group(rows, 3, 3, side="Group")
+
+
 def test_quotient_dual_pairing_matches_augmented_snf():
     """The mod-p^(2k) tensor quotient agrees with the exact augmented-matrix
     computation, as paired-group classes."""
@@ -309,16 +362,15 @@ def test_spec_serialization_roundtrip():
         assert EnsembleSpec.from_dict(spec.to_dict()) == spec
 
 
-def _padic_snf_reference(a, nrows, ncols, p, big_k, want_u, want_v):
+def _padic_snf_reference(a, nrows, ncols, p, big_k):
     """The list-loop p-adic Smith reduction the numpy kernel replaces.
 
-    a is a list of row lists, entries reduced mod p^big_k, diagonalized in
+    a is a list of row lists, entries reduced mod p^big_k, reduced in
     place.  Pivot: the first row-major entry of least valuation in the
-    active block.  Returns (exponents, u, v) as lists.
+    active block.  Returns (exponents, u) with u the row transform, a list.
     """
     mod = p**big_k
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_u else None
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_v else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     exps = []
     t = 0
     limit = min(nrows, ncols)
@@ -344,58 +396,41 @@ def _padic_snf_reference(a, nrows, ncols, p, big_k, want_u, want_v):
             break
         if best_i != t:
             a[t], a[best_i] = a[best_i], a[t]
-            if u is not None:
-                u[t], u[best_i] = u[best_i], u[t]
+            u[t], u[best_i] = u[best_i], u[t]
         if best_j != t:
             for row in a:
                 row[t], row[best_j] = row[best_j], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[best_j] = row[best_j], row[t]
         pk = p**best_v
         unit = a[t][t] // pk
         inv = pow(unit, -1, mod)
         if inv != 1:
             a[t] = [x * inv % mod for x in a[t]]
-            if u is not None:
-                u[t] = [x * inv % mod for x in u[t]]
+            u[t] = [x * inv % mod for x in u[t]]
         at = a[t]
         for i in range(t + 1, nrows):
             x = a[i][t]
             if x:
                 q = x // pk
                 a[i] = [(y - q * z) % mod for y, z in zip(a[i], at)]
-                if u is not None:
-                    u[i] = [(y - q * z) % mod for y, z in zip(u[i], u[t])]
-        for j in range(t + 1, ncols):
-            x = at[j]
-            if x:
-                q = x // pk
-                at[j] = 0
-                if v is not None:
-                    for row in v:
-                        row[j] = (row[j] - q * row[t]) % mod
+                u[i] = [(y - q * z) % mod for y, z in zip(u[i], u[t])]
         exps.append(best_v)
         t += 1
-    return exps, u, v
+    return exps, u
 
 
-def _assert_kernel_matches_reference(rows, p, big_k, want_u, want_v):
+def _assert_kernel_matches_reference(rows, p, big_k):
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     mod = p**big_k
     a = _residues(rows, (nrows, ncols), mod)
-    exps, u, v = _padic_snf(a, p, big_k, want_u, want_v)
-    ref = _padic_snf_reference(
-        [[x % mod for x in row] for row in rows], nrows, ncols, p, big_k, want_u, want_v
-    )
-    got = (exps, None if u is None else u.tolist(), None if v is None else v.tolist())
-    assert got == ref, (rows, p, big_k)
+    exps, u = _padic_snf(a, p, big_k)
+    ref = _padic_snf_reference([[x % mod for x in row] for row in rows], nrows, ncols, p, big_k)
+    assert (exps, u.tolist()) == ref, (rows, p, big_k)
     return a.dtype
 
 
 def test_padic_kernel_matches_reference_on_random_inputs():
-    """Same exponents and bit-identical transforms as the list-loop kernel,
+    """Same exponents and a bit-identical row transform as the list-loop kernel,
     on rectangular inputs with entries scaled by powers of p, so that
     non-unit pivots and all-p-divisible blocks occur."""
     rng = random.Random(31)
@@ -408,8 +443,7 @@ def test_padic_kernel_matches_reference_on_random_inputs():
             [rng.randint(-60, 60) * p ** rng.randint(0, 2) * scale for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        want_u, want_v = rng.random() < 0.5, rng.random() < 0.5
-        _assert_kernel_matches_reference(rows, p, big_k, want_u, want_v)
+        _assert_kernel_matches_reference(rows, p, big_k)
 
 
 def test_padic_kernel_matches_reference_on_large_entries():
@@ -422,15 +456,15 @@ def test_padic_kernel_matches_reference_on_large_entries():
             [rng.randint(-(10**20), 10**20) * 3 ** rng.randint(0, 4) for _ in range(n)]
             for _ in range(n)
         ]
-        assert _assert_kernel_matches_reference(rows, 3, 8, True, True) == np.int64
-        assert _assert_kernel_matches_reference(rows, 3, 32, True, True) == object
+        assert _assert_kernel_matches_reference(rows, 3, 8) == np.int64
+        assert _assert_kernel_matches_reference(rows, 3, 32) == object
 
 
 def test_padic_kernel_matches_reference_on_er_laplacians():
     spec = EnsembleSpec(kind=KIND_ER, n=40, seed=41, q=0.5)
     for t in range(200):
         rows = [list(r) for r in laplacian(sample_graph(spec, t)).data]
-        _assert_kernel_matches_reference(rows, 2, 16, t % 2 == 0, t % 2 == 1)
+        _assert_kernel_matches_reference(rows, 2, 16)
 
 
 def test_large_cyclic_class_has_perfect_gram():

@@ -1,5 +1,6 @@
 """Experiment runs: determinism, accounting, persistence, plot data."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from cokpairs.ensembles import EnsembleSpec, KIND_ER, KIND_UNIFORM
 from cokpairs.experiments import (
     CAP_FLAG,
     ExperimentConfig,
+    _run_trials,
     counts_from_report,
     emit_plot_data,
     parse_plot_data,
@@ -48,6 +50,21 @@ def test_distribution_jobs_invariant():
     seq = run_distribution(small_config(trials=30, jobs=1))
     par = run_distribution(small_config(trials=30, jobs=2))
     assert seq.canonical_json() == par.canonical_json()
+
+
+def test_runner_starts_no_more_workers_than_slices(monkeypatch):
+    """Under fork a pool starts all its workers at the first submit, so two
+    trials on three jobs must ask for two."""
+    asked = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert _run_trials(abs, (), small_config(trials=2, jobs=3)) == [0, 1]
+    assert asked == [2]
 
 
 def test_distribution_seed_changes_counts():
