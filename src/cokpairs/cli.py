@@ -280,6 +280,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_constants)
 
     args = ap.parse_args(argv)
+    if getattr(args, "kind", None) == KIND_ALPHA and not getattr(args, "config", None):
+        missing = [f"--{k}" for k in ("support", "weights", "alpha") if getattr(args, k) is None]
+        if missing:
+            ap.error(f"--kind {KIND_ALPHA} needs {', '.join(missing)}")
     return args.func(args)
 
 

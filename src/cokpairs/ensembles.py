@@ -1,7 +1,8 @@
 """Random symmetric matrix ensembles and fast Sylow classification.
 
 Sampling covers uniform residues mod a, finitely supported balanced entry
-distributions, and Erdos-Renyi Laplacians.  Classification of the Sylow
+distributions, and Erdos-Renyi Laplacians; a draw is one numpy array
+(`sample_array`), and `sample_symmetric` its IntMatrix form.  Classification of the Sylow
 p-part of a cokernel with its pairing works modulo p^(2k) for an exponent
 cap k: the pairing of a p-part with exponent p^e is determined by the
 matrix entries modulo p^(2e), so every group below the cap is resolved
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .arith import require_prime
-from .errors import UnbalancedDistribution
-from .graphs import ERParams, Graph, laplacian, sample_er
+from .errors import NotSymmetric, UnbalancedDistribution
+from .graphs import Graph, er_adjacency, graph_from_adjacency, laplacian_array, upper_indices
 from .groups import FinAbGroup
 from .intmat import IntMatrix
 from .pairings import PairedGroup, canonical_pair_class, gram_from_scaled_blocks
@@ -42,19 +43,27 @@ class CapExceeded:
 # p-adic Smith form mod p^(2k)
 
 
+def _as_array(rows, shape):
+    """rows (an integer array or nested sequences of integers of any size)
+    as an int64 array of this shape, or an object array of Python ints when
+    some entry leaves int64.  An int64 array is returned as it is."""
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(shape)
+
+
 def _residues(rows, shape, mod):
-    """rows (integers of any size) as an array of residues mod `mod`.
+    """rows (as for _as_array) as an array of residues mod `mod`.
 
     The dtype is int64 while n * mod^2 < 2^62 (n the larger dimension), which
     bounds every product and every length-n dot product the reduction and the
     Gram form; past that it is object, i.e. the same code on Python ints.
     """
+    a = _as_array(rows, shape)
     if max(shape) * mod * mod >= 2**62:
-        return np.array(rows, dtype=object).reshape(shape) % mod
-    try:
-        return np.array(rows, dtype=np.int64).reshape(shape) % mod
-    except OverflowError:  # entries beyond int64; their residues fit
-        return (np.array(rows, dtype=object).reshape(shape) % mod).astype(np.int64)
+        return a.astype(object) % mod
+    return (a % mod).astype(np.int64, copy=False)  # object entries: residues fit
 
 
 def _least_valuation(block, p, big_k):
@@ -124,18 +133,18 @@ def _dual_block(u, exps, sym, p, mod):
     return lam, tuple(map(tuple, (g % den * p ** lam[0] // den).tolist()))
 
 
-def _sylow_block(rows, p, cap, free_rank):
+def _sylow_block(a, p, cap, free_rank):
     """(lam, scaled Gram block) of the Sylow p-part of the torsion cokernel
-    of the symmetric matrix rows, (None, None) when it is trivial, or
-    CapExceeded.  The Gram is u m u^T, which serves the group and its dual
-    alike (see `pairings`).
+    of the symmetric n x n array a (from _as_array), (None, None) when it
+    is trivial, or CapExceeded.  The Gram is u m u^T, which serves the group
+    and its dual alike (see `pairings`).
     """
     if free_rank < 0:
         raise ValueError(f"free rank must be >= 0, got {free_rank}")
-    n = len(rows)
+    n = len(a)
     big_k = 2 * cap
     mod = p**big_k
-    m = _residues(rows, (n, n), mod)
+    m = _residues(a, (n, n), mod)
     exps, u = _padic_snf(m.copy(), p, big_k)
     unresolved = n - len(exps)
     if unresolved > free_rank:
@@ -169,7 +178,8 @@ def sylow_paired_group(
     """
     if side not in ("group", "dual"):
         raise ValueError(f"side must be 'group' or 'dual', got {side!r}")
-    res = _sylow_block(m_rows, p, cap, free_rank)
+    n = len(m_rows)
+    res = _sylow_block(_as_array(m_rows, (n, n)), p, cap, free_rank)
     if isinstance(res, CapExceeded):
         return res
     lam, block = res
@@ -183,7 +193,7 @@ def quotient_dual_pairing(pres_rows, sym_rows, p, k):
 
     pres_rows (h x w) presents the quotient Z^h / col(pres); sym_rows
     (h x h) is the symmetric matrix computing the dual pairing in those
-    coordinates.  Exponents are min(e, k), which is exact for the tensor
+    coordinates; either is an array or nested sequences.  Exponents are min(e, k), which is exact for the tensor
     (no cap flag needed).  Returns (exponents descending, scaled gram block
     mod p^lam1) or (None, None) for a trivial p-part.
     """
@@ -241,13 +251,6 @@ class EntryDistribution:
             cum.append(acc)
         return den, cum
 
-    def draw(self, stream: rng.Stream, den: int, cum: list[int]) -> int:
-        r = stream.below(den)
-        for val, c in zip(self.support, cum):
-            if r < c:
-                return val
-        return self.support[-1]
-
 
 KIND_ER = "er_laplacian"
 KIND_ALPHA = "alpha_balanced"
@@ -271,11 +274,17 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("ensemble needs n >= 1")
-        if self.kind == KIND_UNIFORM and self.modulus < 2:
-            raise ValueError("uniform ensemble needs modulus >= 2")
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"edge probability q must lie in [0, 1], got {self.q}")
+        # entries are drawn by below(), whose range is at most 2^64
+        if self.kind == KIND_UNIFORM and not 2 <= self.modulus <= 2**64:
+            raise ValueError(f"uniform ensemble needs 2 <= modulus <= 2^64, got {self.modulus}")
         if self.kind == KIND_ALPHA:
             if self.entry_dist is None or self.alpha is None or self.modulus < 2:
                 raise ValueError("alpha-balanced ensemble needs entry_dist, alpha, modulus")
+            den = self.entry_dist.sampler()[0]
+            if den > 2**64:
+                raise ValueError(f"entry weights need a common denominator <= 2^64, got {den}")
             self.entry_dist.check_balance(self.modulus, self.alpha)
 
     def to_dict(self) -> dict:
@@ -309,48 +318,74 @@ class EnsembleSpec:
         )
 
 
-def sample_graph(spec: EnsembleSpec, trial: int) -> Graph:
+def graph_adjacency(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """Boolean adjacency matrix of the er_laplacian draw (see er_adjacency)."""
     if spec.kind != KIND_ER:
         raise ValueError("not a graph ensemble")
-    return sample_er(ERParams(spec.n, spec.q, spec.seed), trial)
+    return er_adjacency(spec.n, spec.q, spec.seed, trial)
+
+
+def sample_array(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """Symmetric matrix draw, deterministic per (spec, trial), as an int64
+    array (object when some entry leaves int64).
+
+    Upper-triangle entries (diagonal included) are drawn independently in
+    row-major order, one block of below() draws; for er_laplacian the graph
+    Laplacian is returned.
+    """
+    if spec.kind == KIND_ER:
+        return laplacian_array(graph_adjacency(spec, trial))
+    n = spec.n
+    iu, ju = upper_indices(n, 0)
+    s = rng.stream(spec.seed, trial)
+    if spec.kind == KIND_UNIFORM:
+        vals = s.below_array(spec.modulus, len(iu))
+    else:
+        den, cum = spec.entry_dist.sampler()
+        r = s.below_array(den, len(iu))
+        # entry t is support[t] for cum[t - 1] <= r < cum[t]; r < cum[-1] = den
+        pick = np.searchsorted(_as_array(cum[:-1], (len(cum) - 1,)), r, side="right")
+        support = spec.entry_dist.support
+        vals = _as_array(support, (len(support),))[pick]
+    a = np.zeros((n, n), dtype=vals.dtype)
+    a[iu, ju] = vals
+    a[ju, iu] = vals
+    return a
+
+
+def sample_graph(spec: EnsembleSpec, trial: int) -> Graph:
+    return graph_from_adjacency(graph_adjacency(spec, trial))
 
 
 def sample_symmetric(spec: EnsembleSpec, trial: int) -> IntMatrix:
-    """Symmetric matrix draw, deterministic per (spec, trial).
-
-    Upper-triangle entries (diagonal included) are drawn independently in
-    row-major order; for er_laplacian the graph Laplacian is returned.
-    """
-    if spec.kind == KIND_ER:
-        return laplacian(sample_graph(spec, trial))
-    s = rng.stream(spec.seed, trial)
-    n = spec.n
-    a = [[0] * n for _ in range(n)]
-    if spec.kind == KIND_UNIFORM:
-        for i in range(n):
-            for j in range(i, n):
-                x = s.below(spec.modulus)
-                a[i][j] = a[j][i] = x
-    else:
-        den, cum = spec.entry_dist.sampler()
-        for i in range(n):
-            for j in range(i, n):
-                x = spec.entry_dist.draw(s, den, cum)
-                a[i][j] = a[j][i] = x
-    return IntMatrix.from_rows(a)
+    """sample_array as an IntMatrix."""
+    return IntMatrix.from_array(sample_array(spec, trial))
 
 
 # ---------------------------------------------------------------------------
 # classification entry point
 
 
+def symmetric_array(m, caller: str) -> np.ndarray:
+    """m (an IntMatrix or a square integer array) as an array (see
+    _as_array); NotSymmetric unless it is square and symmetric."""
+    if isinstance(m, IntMatrix):
+        a = _as_array(m.data, (m.rows, m.cols))
+    else:
+        a = _as_array(m, np.shape(m))
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise NotSymmetric(f"{caller} needs a symmetric matrix")
+    return a
+
+
 def cokernel_pairing_class(
-    m: IntMatrix,
+    m,
     primes,
     exponent_cap: dict[int, int],
     free_rank: int = 0,
 ):
-    """Classify the Sylow-P torsion cokernel of symmetric m with its pairing.
+    """Classify the Sylow-P torsion cokernel of symmetric m (an IntMatrix or
+    a square integer array) with its pairing.
 
     Returns a PairClassId, or CapExceeded when some p-part exponent reaches
     the cap (the sampling modulus cannot resolve it).  free_rank is the
@@ -358,18 +393,14 @@ def cokernel_pairing_class(
     the classification step; a repeated prime or free_rank < 0 raises
     ValueError.
     """
-    if not m.is_symmetric():
-        from .errors import NotSymmetric
-
-        raise NotSymmetric("cokernel_pairing_class needs a symmetric matrix")
+    a = symmetric_array(m, "cokernel_pairing_class")
     primes = sorted(primes)
     for p, q in zip(primes, primes[1:]):
         if p == q:
             raise ValueError(f"prime {p} is repeated")
-    rows = [list(r) for r in m.data]
     types, blocks = {}, {}
     for p in primes:
-        res = _sylow_block(rows, p, exponent_cap[p], free_rank)
+        res = _sylow_block(a, p, exponent_cap[p], free_rank)
         if isinstance(res, CapExceeded):
             return res
         types[p], blocks[p] = res

@@ -24,11 +24,11 @@ from .ensembles import (
     CapExceeded,
     cokernel_pairing_class,
     default_cap,
-    sample_graph,
-    sample_symmetric,
+    graph_adjacency,
+    sample_array,
 )
 from .errors import BudgetExceeded
-from .graphs import connected_components, laplacian
+from .graphs import component_count, laplacian_array
 from .moments import count_sur_star_pushforward, tensor_quotient_with_dual_pairing
 from .pairings import PairedGroup, parse_paired_group
 from .stats import chi2_sf, wilson_interval
@@ -174,12 +174,10 @@ def _finish(
 
 def _classify_trial(spec: EnsembleSpec, primes, caps, trial: int) -> str:
     if spec.kind == KIND_ER:
-        g = sample_graph(spec, trial)
-        m = laplacian(g)
-        free_rank = connected_components(g)
+        adj = graph_adjacency(spec, trial)
+        m, free_rank = laplacian_array(adj), component_count(adj)
     else:
-        m = sample_symmetric(spec, trial)
-        free_rank = 0
+        m, free_rank = sample_array(spec, trial), 0
     try:
         res = cokernel_pairing_class(m, primes, caps, free_rank)
     except BudgetExceeded:
@@ -299,7 +297,7 @@ def _moment_trial(spec: EnsembleSpec, target: PairedGroup, trial: int) -> tuple:
     b = target.group.exponent
     if b == 1:
         return "1", "", 1
-    m = sample_symmetric(spec, trial)
+    m = sample_array(spec, trial)
     try:
         src_group, src_gram = tensor_quotient_with_dual_pairing(m, b, spec.kind == KIND_ER)
         c = count_sur_star_pushforward((src_group, src_gram), (target.group, target.pairing))
@@ -356,7 +354,7 @@ def run_moment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _connected_trial(spec: EnsembleSpec, trial: int) -> bool:
-    return connected_components(sample_graph(spec, trial)) == 1
+    return component_count(graph_adjacency(spec, trial)) == 1
 
 
 def run_connectivity(config: ExperimentConfig) -> ExperimentReport:

@@ -3,11 +3,20 @@
 Sign convention: the Laplacian carries +1 for edges off the diagonal and
 -deg on the diagonal.  Cokernels are unaffected by the global sign; the
 pairing flips sign with it, and the golden tests pin this convention.
+
+Sampling and the experiment trials work on boolean adjacency arrays
+(`er_adjacency`, `laplacian_array`, `component_count`); `Graph`,
+`sample_er`, `laplacian` and `connected_components` convert to and from
+them, with Python ints in edges and matrices.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import rng
 from .groups import FinAbGroup
@@ -53,6 +62,14 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
+@functools.lru_cache(maxsize=64)
+def upper_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k): the (i, j) with j >= i + k, row-major."""
+    iu, ju = np.triu_indices(n, k)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 @dataclass(frozen=True)
 class ERParams:
     n: int
@@ -66,45 +83,74 @@ class ERParams:
             raise ValueError("edge probability must lie in [0, 1]")
 
 
-def sample_er(params: ERParams, trial: int = 0) -> Graph:
-    """One Erdos-Renyi draw; deterministic in (n, q, seed, trial).
+def er_adjacency(n: int, q: float, seed: int, trial: int = 0) -> np.ndarray:
+    """Boolean adjacency matrix of one Erdos-Renyi draw.
 
-    Pairs are visited in lexicographic order; each consumes one 64-bit
-    draw from the (seed, trial) substream (see rng module for the scheme).
+    Pairs i < j are visited in lexicographic order; each consumes one
+    64-bit draw from the (seed, trial) substream (see rng module for the
+    scheme) and is an edge when the draw is below the probability threshold.
     """
-    threshold = rng.probability_threshold(params.q)
-    s = rng.stream(params.seed, trial)
-    edges = []
-    for i in range(params.n):
-        for j in range(i + 1, params.n):
-            if s.chance(threshold):
-                edges.append((i, j))
-    return Graph.from_edges(params.n, edges)
+    threshold = rng.probability_threshold(q)
+    iu, ju = upper_indices(n, 1)
+    if threshold == 1 << 64:  # q = 1; the threshold does not fit in uint64
+        hit = True
+    else:
+        hit = rng.stream(seed, trial).u64_array(len(iu)) < np.uint64(threshold)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu, ju] = hit
+    return adj | adj.T
+
+
+def laplacian_array(adj: np.ndarray) -> np.ndarray:
+    """int64 Laplacian of a boolean adjacency matrix (the sign convention above)."""
+    lap = adj.astype(np.int64)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
+
+
+def component_count(adj: np.ndarray) -> int:
+    """Number of connected components of a boolean adjacency matrix.
+
+    Label propagation: each vertex takes the least label in its closed
+    neighbourhood, then labels jump to their label's label.  Labels only
+    decrease and stay inside the component, so at the fixed point each
+    component carries its least vertex, the only vertex labelled by itself.
+    """
+    n = len(adj)
+    far = np.where(adj, 0, n)  # added to a label, pushes non-neighbours past n
+    np.fill_diagonal(far, 0)
+    labels = np.arange(n)
+    while True:
+        least = (labels + far).min(axis=1, initial=n)
+        least = least[least]
+        if (least == labels).all():
+            return int(np.count_nonzero(labels == np.arange(n)))
+        labels = least
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.int64, 2 * len(g.edges))
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[ends[0::2], ends[1::2]] = adj[ends[1::2], ends[0::2]] = True
+    return adj
+
+
+def graph_from_adjacency(adj: np.ndarray) -> Graph:
+    i, j = np.nonzero(np.triu(adj, 1))
+    return Graph(len(adj), frozenset(zip(i.tolist(), j.tolist())))
+
+
+def sample_er(params: ERParams, trial: int = 0) -> Graph:
+    """One Erdos-Renyi draw; deterministic in (n, q, seed, trial)."""
+    return graph_from_adjacency(er_adjacency(params.n, params.q, params.seed, trial))
 
 
 def laplacian(g: Graph) -> IntMatrix:
-    a = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        a[i][j] = a[j][i] = 1
-        a[i][i] -= 1
-        a[j][j] -= 1
-    return IntMatrix.from_rows(a)
+    return IntMatrix.from_array(laplacian_array(adjacency(g)))
 
 
 def connected_components(g: Graph) -> int:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return sum(1 for v in range(g.n) if find(v) == v)
+    return component_count(adjacency(g))
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -33,6 +33,11 @@ class IntMatrix:
         return IntMatrix(len(data), len(data[0]) if data else 0, data)
 
     @staticmethod
+    def from_array(a) -> "IntMatrix":
+        """A 2-d int64 array, or object array of Python ints, as it is."""
+        return IntMatrix(*a.shape, tuple(map(tuple, a.tolist())))
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 

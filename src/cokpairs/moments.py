@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from . import rng
-from .ensembles import quotient_dual_pairing
+from .ensembles import quotient_dual_pairing, symmetric_array
 from .errors import BudgetExceeded, NotALift, NotSymmetric
 from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p, enumerate_surjections
 from .intmat import IntMatrix
@@ -256,20 +256,17 @@ def lifted_equation_check(
 
 
 def tensor_quotient_with_dual_pairing(
-    m: IntMatrix, b: int, zero_sum: bool = False
+    m, b: int, zero_sum: bool = False
 ) -> tuple[FinAbGroup, PairingGram]:
-    """The cokernel-type quotient tensored with Z/b, with the pairing on its
-    dual.  With zero_sum=True the quotient is taken inside the zero-sum
-    sublattice (the sandpile convention for Laplacians): the presentation
-    drops the last row and the pairing contracts to the leading block."""
+    """The cokernel-type quotient of the symmetric m (an IntMatrix or a
+    square integer array) tensored with Z/b, with the pairing on its dual.
+    With zero_sum=True the quotient is taken inside the zero-sum sublattice
+    (the sandpile convention for Laplacians): the presentation drops the
+    last row and the pairing contracts to the leading block."""
     from .arith import factorint
 
-    if zero_sum:
-        pres = [list(row[:]) for row in m.data[:-1]]
-        sym = [list(row[: m.cols - 1]) for row in m.data[:-1]]
-    else:
-        pres = [list(row) for row in m.data]
-        sym = pres
+    a = symmetric_array(m, "tensor_quotient_with_dual_pairing")
+    pres, sym = (a[:-1], a[:-1, :-1]) if zero_sum else (a, a)
     types, blocks = {}, {}
     for p, k in factorint(b).items():
         types[p], blocks[p] = quotient_dual_pairing(pres, sym, p, k)

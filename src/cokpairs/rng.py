@@ -8,12 +8,19 @@ independent of scheduling order:
     stream(master, i1, i2, ...) seeds with
         mix(... mix(mix(master) ^ (i1 + 1) * PHI) ^ (i2 + 1) * PHI ...)
 
-All derived quantities (uniform residues, weighted picks) are produced by
-exact integer rejection sampling, so results are reproducible across
-platforms and Python versions.
+The k-th output of a stream with state s is mix(s + k * PHI), so a block
+of k outputs is one vectorized expression over uint64 (`u64_array`), equal
+bit for bit to k calls of `u64` and leaving the same state.  Uniform
+residues (`below`, `below_array`) are exact integer rejection sampling: a
+block takes every draw up to the first rejected one, and from that draw on
+continues with the scalar `below`, so it returns the values of k scalar
+calls.  Results are reproducible across platforms and Python and numpy
+versions.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -38,10 +45,24 @@ class Stream:
         self._state = (self._state + _PHI) & _MASK
         return _mix(self._state)
 
+    def u64_array(self, k: int) -> np.ndarray:
+        """The next k outputs as a uint64 array (k calls of u64, at once)."""
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_PHI)  # uint64 arrays wrap mod 2^64
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _PHI) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), exact via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        # past 2^64 no draw is accepted: 2^64 - 2^64 % n is 0
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs 1 <= n <= 2^64, got {n}")
         if n == 1:
             return 0
         limit = (1 << 64) - (1 << 64) % n
@@ -50,9 +71,33 @@ class Stream:
             if r < limit:
                 return r % n
 
-    def chance(self, threshold: int) -> bool:
-        """True with probability threshold / 2**64."""
-        return self.u64() < threshold
+    def below_array(self, n: int, k: int) -> np.ndarray:
+        """The values of k calls of below(n), leaving the same state.
+
+        int64 while n <= 2^63, else an object array of Python ints.
+        """
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs 1 <= n <= 2^64, got {n}")
+        if n == 1:
+            return np.zeros(k, dtype=np.int64)
+        start = self._state
+        raw = self.u64_array(k)
+        tail = []
+        limit = (1 << 64) - (1 << 64) % n
+        if limit < 1 << 64:
+            rejected = raw >= np.uint64(limit)
+            if rejected.any():
+                first = int(rejected.argmax())
+                self._state = (start + first * _PHI) & _MASK
+                tail = [self.below(n) for _ in range(k - first)]
+                raw = raw[:first]
+        if n < 1 << 64:
+            raw = raw % np.uint64(n)
+        dtype = np.int64 if n <= 1 << 63 else object
+        out = raw.astype(dtype)
+        if tail:
+            out = np.concatenate([out, np.array(tail, dtype=dtype)])
+        return out
 
 
 def probability_threshold(q: float) -> int:

@@ -165,3 +165,22 @@ def test_verify_lemmas(capsys):
     assert code == 0
     assert "0 failures" in out
     assert "special pair count" in out
+
+
+def test_alpha_balanced_sample_needs_its_distribution(capsys):
+    # without --support/--weights/--alpha this died with an AttributeError
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--kind", "alpha_balanced", "--n", "3", "--modulus", "2"])
+    assert exc.value.code == 2
+    assert "--support, --weights, --alpha" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--kind", "alpha_balanced", "--support", "0,1", "--weights", "1/2,1/2"])
+    assert exc.value.code == 2
+    assert "needs --alpha" in capsys.readouterr().err
+    code, out = run_cli(
+        capsys,
+        "sample", "--kind", "alpha_balanced", "--n", "3", "--modulus", "2",
+        "--support", "0,1", "--weights", "1/2,1/2", "--alpha", "1/2",
+    )
+    assert code == 0
+    assert parse_matrix(out).is_symmetric()

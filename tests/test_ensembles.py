@@ -152,6 +152,109 @@ def test_ensembles_reject_n_below_one():
         main(["sample", "--n", "-5"])
 
 
+def test_ensemble_ranges_beyond_below_are_rejected():
+    # below() cannot draw from more than 2^64 values; these specs used to
+    # construct, and their first trial then looped forever
+    with pytest.raises(ValueError, match="modulus"):
+        EnsembleSpec(kind=KIND_UNIFORM, n=2, seed=1, modulus=2**64 + 1)
+    EnsembleSpec(kind=KIND_UNIFORM, n=2, seed=1, modulus=2**64)
+    x = Fraction(1, 2**66 + 6)  # the common denominator is 2^65 + 3
+    dist = EntryDistribution((0, 1), (Fraction(1, 2) - x, Fraction(1, 2) + x))
+    with pytest.raises(ValueError, match="common denominator"):
+        EnsembleSpec(kind=KIND_ALPHA, n=2, seed=1, modulus=2, entry_dist=dist, alpha=Fraction(1, 4))
+
+
+@pytest.mark.parametrize("q", [1.5, -0.25, float("nan")])
+def test_er_spec_rejects_probabilities_outside_unit_interval(q):
+    # q = 1.5 used to construct and fail only inside the first trial
+    with pytest.raises(ValueError, match="probability"):
+        EnsembleSpec(kind=KIND_ER, n=4, seed=1, q=q)
+
+
+def _symmetric_reference(spec, trial, entry):
+    """Upper-triangle entries (diagonal included) drawn one at a time in
+    row-major order by entry(stream)."""
+    from cokpairs import rng
+
+    s = rng.stream(spec.seed, trial)
+    n = spec.n
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = entry(s)
+    return a
+
+
+@pytest.mark.parametrize("modulus", [9, 2**63 + 1, 3 * 2**62])
+def test_uniform_draw_matches_scalar_reference(modulus):
+    """2^63 + 1 rejects about half of all draws and 3 * 2^62 a quarter; both
+    give object arrays, and a third of the entries mod 3 * 2^62 lie beyond
+    the int64 maximum."""
+    from cokpairs.ensembles import sample_array
+
+    spec = EnsembleSpec(kind=KIND_UNIFORM, n=7, seed=19, modulus=modulus)
+    big = 0
+    for t in range(10):
+        want = _symmetric_reference(spec, t, lambda s: s.below(modulus))
+        got = sample_symmetric(spec, t)
+        assert [list(r) for r in got.data] == want
+        assert all(type(x) is int for r in got.data for x in r)
+        assert sample_array(spec, t).dtype == (np.int64 if modulus <= 2**63 else object)
+        big += sum(x >= 2**63 for r in want for x in r)
+    assert (big > 0) == (modulus == 3 * 2**62)
+
+
+def test_alpha_draw_matches_scalar_reference():
+    """Negative support and an entry beyond int64, picked by the cumulative
+    weights exactly as a per-entry scan would."""
+    weights = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 6), Fraction(1, 4))
+    dist = EntryDistribution((-7, 10**20, 0, -1), weights)
+    spec = EnsembleSpec(
+        kind=KIND_ALPHA, n=6, seed=23, modulus=2, entry_dist=dist, alpha=Fraction(1, 4)
+    )
+    den, cum = dist.sampler()
+
+    def entry(s):
+        r = s.below(den)
+        return next(v for v, c in zip(dist.support, cum) if r < c)
+
+    seen = set()
+    for t in range(20):
+        want = _symmetric_reference(spec, t, entry)
+        got = sample_symmetric(spec, t)
+        assert [list(r) for r in got.data] == want
+        seen.update(x for r in want for x in r)
+    assert seen == set(dist.support)
+
+
+def test_sample_array_feeds_the_classifier_like_the_matrix():
+    """cokernel_pairing_class and tensor_quotient_with_dual_pairing give one
+    result for the array and the IntMatrix, and check both for symmetry."""
+    from cokpairs.ensembles import sample_array
+    from cokpairs.errors import NotSymmetric
+    from cokpairs.graphs import connected_components
+    from cokpairs.moments import tensor_quotient_with_dual_pairing
+
+    for kind, extra in ((KIND_UNIFORM, {"modulus": 8}), (KIND_ER, {"q": 0.5})):
+        spec = EnsembleSpec(kind=kind, n=8, seed=3, **extra)
+        for t in range(10):
+            a = sample_array(spec, t)
+            m = sample_symmetric(spec, t)
+            assert a.dtype == np.int64 and a.tolist() == [list(r) for r in m.data]
+            zero_sum = kind == KIND_ER
+            free = connected_components(sample_graph(spec, t)) if zero_sum else 0
+            assert cokernel_pairing_class(a, [2], {2: 6}, free) == cokernel_pairing_class(m, [2], {2: 6}, free)
+            assert tensor_quotient_with_dual_pairing(a, 4, zero_sum) == tensor_quotient_with_dual_pairing(
+                m, 4, zero_sum
+            )
+    lopsided = np.array([[0, 1], [2, 0]])
+    for m in (lopsided, IntMatrix.from_rows(lopsided.tolist()), np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(NotSymmetric):
+            cokernel_pairing_class(m, [2], {2: 3})
+        with pytest.raises(NotSymmetric):
+            tensor_quotient_with_dual_pairing(m, 2)
+
+
 def _congruent(rows, ops):
     """M and P M P^T, with P the product of the row operations (i, j, k):
     negate row i when i == j, else add k times row j to row i."""

@@ -131,3 +131,62 @@ def test_edge_probability_marginal():
     mean = trials * pairs * q
     sigma = (trials * pairs * q * (1 - q)) ** 0.5
     assert abs(total - mean) < 4 * sigma
+
+
+def _er_edges_reference(n, q, seed, trial):
+    """One scalar draw per pair in lexicographic order; an edge when the
+    draw is below the probability threshold."""
+    from cokpairs import rng
+
+    threshold = rng.probability_threshold(q)
+    s = rng.stream(seed, trial)
+    return frozenset((i, j) for i in range(n) for j in range(i + 1, n) if s.u64() < threshold)
+
+
+def _components_reference(n, edges):
+    """Union-find with path halving."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return sum(1 for v in range(n) if find(v) == v)
+
+
+def test_er_draw_matches_scalar_reference():
+    from cokpairs.graphs import component_count, er_adjacency, laplacian_array
+
+    for n in (1, 2, 40):
+        for q in (0.0, 0.37, 0.5, 1.0):
+            for trial in range(6):
+                want = _er_edges_reference(n, q, 31, trial)
+                g = sample_er(ERParams(n, q, 31), trial)
+                assert g.edges == want
+                assert all(type(x) is int for e in g.edges for x in e)
+                adj = er_adjacency(n, q, 31, trial)
+                assert laplacian_array(adj).tolist() == [list(r) for r in laplacian(g).data]
+                assert component_count(adj) == connected_components(g) == _components_reference(n, want)
+
+
+def test_components_match_union_find():
+    """Sparse graphs (many components, long paths) and graphs given by hand."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        m = rng.randint(0, 2 * n)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(m)] if n > 1 else []
+        g = Graph.from_edges(n, edges)
+        assert connected_components(g) == _components_reference(n, g.edges)
+    path = Graph.from_edges(50, [(i, i + 1) for i in range(49)])
+    assert connected_components(path) == 1
+    reversed_path = Graph.from_edges(50, [(49 - i, 48 - i) for i in range(49)])
+    assert connected_components(reversed_path) == 1
+    assert connected_components(Graph.from_edges(5, [])) == 5
+    assert connected_components(Graph.from_edges(6, [(0, 5), (1, 4), (2, 3)])) == 3
