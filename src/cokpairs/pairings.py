@@ -16,21 +16,25 @@ takes both Grams from u m u^T: m is symmetric, so v^T m u^T = diag(d) too,
 and the rows of u lift generators of the group as well as of its dual.
 
 Classification canonicalizes a Gram by taking the lexicographically minimal
-matrix over the automorphism orbit, prime by prime (entries live in Z/p^lam1
-after scaling to the common denominator p^lam1).  Each orbit is scanned once,
-by `_block_class`, the first time one of its members is met; every member is
-then indexed under (canonical block, orbit size, stabilizer size), and class
-ids, class tables and |Aut(G, pairing)| are all read from that index.
+matrix over its orbit under Aut(G), prime by prime (entries live in
+Z/p^lam1 after scaling to the common denominator p^lam1).  Aut(G_p) is
+never listed.  On a cyclic p-part the orbit of c is {u^2 c : u a unit}, and
+its minimum and stabilizer have closed forms.  At rank >= 2 the orbit is the
+closure of the Gram under C -> x^T C x for x in a fixed generating set of
+Aut(G_p): the transvections and the diagonal unit generators, with their
+2^k-th powers.  It is grown frontier by frontier in numpy, each block
+identified by an int64 code whose order is the lexicographic order of the
+blocks, and the stabilizer is |Aut(G_p)| / |orbit| with |Aut(G_p)| from the
+Hillar-Rhea closed form (`groups.aut_order_of_type`).  Each orbit is closed
+once, by `_class_of`, the first time one of its members is met; every member
+is then indexed under (canonical block, orbit size, stabilizer size), and
+class ids, class tables and |Aut(G, pairing)| are all read from that index.
 
-No floating point is used.  An endomorphism is an automorphism iff its mod-p
-residue is invertible (Nakayama), so the exact mod-p determinant is computed
-once per residue matrix and the automorphisms are the lifts of the invertible
-ones.
-The batched congruence A^T C A is reduced mod q = p^lam1 between its two
-products, so int64 sums stay below r q^2; q <= |End(G)| <= budget keeps that
-under 2^63 at the default budget, and a budget that would not raises
-BudgetExceeded.  |End(G)| is checked against the budget before the index is
-read, so whether a call raises never depends on earlier calls.
+No floating point is used.  Codes stay below the number of symmetric blocks
+(at most |End(G_p)|) and the orbit products below q^2, q = p^lam1; a type for
+which either would reach 2^63 raises BudgetExceeded instead of wrapping.
+|End(G)| is checked against the budget before the index is read, so whether
+a call raises never depends on earlier calls.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, prod
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from .arith import factorint
 from .errors import BudgetExceeded, NotInDual, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, GroupHom, _rank_mod_p
+from .groups import HOM_BUDGET, FinAbGroup, GroupHom, _rank_mod_p, aut_order_of_type
 from .intmat import IntMatrix, RationalVector, smith_normal_form
 
 
@@ -203,7 +207,7 @@ class PairClassId:
 
 
 # ---------------------------------------------------------------------------
-# automorphism matrices and the orbit index, per prime block
+# block codes, orbits by closure and the orbit index, per prime block
 
 
 def _check_end_budget(p: int, lam: tuple[int, ...], budget: int) -> None:
@@ -236,56 +240,165 @@ def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return det != 0
 
 
-def _mixed_radix(radices: list[int], scales: list[int]) -> np.ndarray:
-    """The mixed-radix count over `radices`, first digit most significant,
-    with digit k multiplied by scales[k]; int64, shape (prod(radices),
-    len(radices))."""
-    digits = np.array(np.unravel_index(np.arange(prod(radices)), radices), dtype=np.int64)
-    return (digits * np.array(scales, dtype=np.int64)[:, None]).T
+@cache
+def _cells(p: int, lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(rows, cols, radices, scales) of the upper cells i <= j in row-major
+    order; cell (i, j) holds p^min(lam_i, lam_j) values spaced by p^(lam1 - min).
 
-
-_aut_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-
-def _aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.ndarray:
-    """All automorphism matrices of the p-group of type lam, shape (N, r, r).
-
-    Entry (i, j) is the g_i coefficient of the image of g_j: p^min(lam_i,
-    lam_j) values spaced by p^(lam_i - min), so it is 0 mod p unless
-    lam_i <= lam_j.  A matrix is an automorphism iff its residue mod p is
-    invertible (Nakayama), so the residues are listed once (p values on each
-    cell with lam_i <= lam_j) and every lift is added to each invertible one.
+    A block's code is its mixed-radix number over these cells, first cell
+    most significant, digit entry/scale.  Lower cells repeat earlier upper
+    ones, so code order is the lexicographic order of the full block.  Codes
+    stay below the number of symmetric blocks (at most |End|); a type for
+    which that reaches 2^63 raises BudgetExceeded.
     """
-    _check_end_budget(p, lam, budget)
-    key = (p, lam)
-    if key not in _aut_cache:
-        r = len(lam)
-        cells = [(a, b) for a in lam for b in lam]
-        residues = _mixed_radix([p if a <= b else 1 for a, b in cells], [1] * r * r)
-        residues = residues[_invertible_mod_p(residues.reshape(-1, r, r), p)]
-        lifts = _mixed_radix(
-            [p ** (min(a, b) - (a <= b)) for a, b in cells],
-            [p ** max(a - b, 1) for a, b in cells],
-        )
-        _aut_cache[key] = (residues[:, None] + lifts).reshape(-1, r, r)
-    return _aut_cache[key]
+    rows, cols = np.triu_indices(len(lam))
+    mins = [min(lam[i], lam[j]) for i, j in zip(rows, cols)]
+    radices = tuple(p**e for e in mins)
+    if prod(radices) >= 2**63:
+        raise BudgetExceeded(f"{prod(radices)} symmetric blocks overflow int64 codes")
+    scales = tuple(p ** (lam[0] - e) for e in mins)
+    return tuple(rows.tolist()), tuple(cols.tolist()), radices, scales
 
 
-def _transform_all(auts: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
-    """A^T c A mod q for every automorphism matrix A in auts, shape (N, r, r).
+def _encode(p: int, lam: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
+    """The codes of a batch of blocks, shape (N, r, r) -> (N,)."""
+    rows, cols, radices, scales = _cells(p, lam)
+    return np.ravel_multi_index(tuple((blocks[:, rows, cols] // scales).T), radices)
 
-    Entries of auts and c lie in [0, q) and the product is reduced mod q
-    between the two multiplications, so every int64 sum stays below r q^2;
-    a q for which that reaches 2^63 raises BudgetExceeded instead of wrapping.
+
+def _decode(p: int, lam: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
+    """The blocks of a batch of codes, shape (N,) -> (N, r, r)."""
+    rows, cols, radices, scales = _cells(p, lam)
+    vals = np.array(np.unravel_index(codes, radices), dtype=np.int64).T * scales
+    r = len(lam)
+    blocks = np.zeros((len(vals), r, r), dtype=np.int64)
+    blocks[:, rows, cols] = vals
+    blocks[:, cols, rows] = vals
+    return blocks
+
+
+def _enumerate_blocks(p: int, lam: tuple[int, ...]) -> np.ndarray:
+    """All symmetric scaled blocks mod p^lam1 with compatible entry orders,
+    shape (N, r, r), in code order: block k has code k."""
+    return _decode(p, lam, np.arange(prod(_cells(p, lam)[2])))
+
+
+def _unit_generators(p: int, e: int) -> list[tuple[int, int]]:
+    """Generators of the units mod p^e, each with its order.
+
+    At odd p one primitive root: the least root g mod p, or g + p when
+    g^(p-1) = 1 mod p^2, which then generates mod every power of p.  At
+    p = 2, -1 and 5 for e >= 3, -1 for e = 2 and none for e = 1.
     """
-    r = c.shape[0]
-    if r * q * q >= 2**63:
-        raise BudgetExceeded(f"r q^2 = {r * q * q} overflows int64 orbit products")
-    return np.swapaxes(auts, 1, 2) @ (c @ auts % q) % q
+    q = p**e
+    if p == 2:
+        return [(q - 1, 2)] * (e >= 2) + [(5, q // 4)] * (e >= 3)
+    g = next(
+        g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in factorint(p - 1))
+    )
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return [(g % q, q - q // p)]
 
 
-# (p, lam) -> {flat Gram block: (canonical block, orbit size, stabilizer size)}
-_orbit_index: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], tuple]] = {}
+def _generators(p: int, lam: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """A generating set of Aut(G_p) as (i, j, t), for x = I + t E_ij.
+
+    The transvections I + p^max(lam_i - lam_j, 0) E_ij (i != j) and the
+    diagonal unit generators (t = u - 1 on cell (i, i)), each with its 2^k-th
+    powers below its order, so that the closure depth is logarithmic.  Entry
+    (i, j) is a coefficient of g_i, so t lives mod p^lam_i.
+    """
+    gens = []
+    for i, a in enumerate(lam):
+        q = p**a
+        for j, b in enumerate(lam):
+            if i != j:
+                t = p ** max(a - b, 0)
+                gens += [(i, j, (t << k) % q) for k in range((q // t - 1).bit_length())]
+        for u, order in _unit_generators(p, a):
+            gens += [(i, i, pow(u, 2**k, q) - 1) for k in range((order - 1).bit_length())]
+    return gens
+
+
+def _act(blocks: np.ndarray, i: int, j: int, t: int, q: int) -> np.ndarray:
+    """x^T C x mod q for x = I + t E_ij and every block C of the batch:
+    column j gains t times column i, then row j gains t times row i."""
+    out = blocks.copy()
+    out[:, :, j] = (out[:, :, j] + t * out[:, :, i]) % q
+    out[:, j, :] = (out[:, j, :] + t * out[:, i, :]) % q
+    return out
+
+
+def _orbit_codes(p: int, lam: tuple[int, ...], code: int) -> np.ndarray:
+    """The sorted codes of the orbit of one block under Aut(G_p): its closure
+    under C -> x^T C x mod q = p^lam1 over the generators, frontier by
+    frontier.  Entries and t lie below q, so int64 sums stay below q^2; a q
+    for which that reaches 2^63 raises BudgetExceeded instead of wrapping.
+    """
+    q = p ** lam[0]
+    if q * q >= 2**63:
+        raise BudgetExceeded(f"q^2 = {q * q} overflows int64 orbit products")
+    gens = _generators(p, lam)
+    orbit = frontier = np.array([code], dtype=np.int64)
+    while frontier.size:
+        blocks = _decode(p, lam, frontier)
+        images = np.concatenate([_encode(p, lam, _act(blocks, i, j, t, q)) for i, j, t in gens])
+        frontier = np.setdiff1d(images, orbit)
+        orbit = np.union1d(orbit, frontier)
+    return orbit
+
+
+def _cyclic_class(p: int, e: int, c: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(canonical block, orbit size, stabilizer size) of c on Z/p^e, in
+    closed form.
+
+    The orbit of c = p^k v (v a unit) is {u^2 c : u a unit}.  Its least
+    member is p^k m, m the least unit in the square class of v mod p^(e-k):
+    1 or the least non-residue at odd p, v mod 2^min(e-k, 3) at p = 2.  It
+    is fixed by the u with u^2 = 1 mod p^(e-k): 2 roots of 1 at odd p; 1, 2
+    or 4 at p = 2 for e-k = 1, 2, >= 3; each with p^k lifts mod p^e.  c = 0
+    is fixed by all phi(p^e) units.
+    """
+    q = p**e
+    aut = q - q // p
+    if c % q == 0:
+        return ((0,),), 1, aut
+    k = 0
+    while c % p == 0:
+        c //= p
+        k += 1
+    if p == 2:
+        level = min(e - k, 3)
+        m, roots = c % 2**level, 2 ** (level - 1)
+    else:
+        half = (p - 1) // 2
+        m = next(n for n in range(1, p) if pow(n, half, p) == pow(c, half, p))
+        roots = 2
+    stab = roots * p**k
+    return ((p**k * m,),), aut // stab, stab
+
+
+# (p, lam) -> {code of a block of rank >= 2: (canonical block, orbit size, stabilizer size)}
+_orbit_index: dict[tuple[int, tuple[int, ...]], dict[int, tuple]] = {}
+
+
+def _class_of(p: int, lam: tuple[int, ...], code: int) -> tuple:
+    """(canonical block, orbit size, stabilizer size) of the block with this
+    code.  Rank one is closed form.  At rank >= 2 the first member met pays
+    the one closure of its orbit, which indexes every member under (least
+    code decoded, orbit size, |Aut(G_p)| / orbit size).
+    """
+    if len(lam) == 1:
+        return _cyclic_class(p, lam[0], code)
+    index = _orbit_index.setdefault((p, lam), {})
+    hit = index.get(code)
+    if hit is None:
+        orbit = _orbit_codes(p, lam, code)
+        canonical = tuple(map(tuple, _decode(p, lam, orbit[:1])[0].tolist()))
+        hit = (canonical, len(orbit), aut_order_of_type(p, lam) // len(orbit))
+        index.update(dict.fromkeys(orbit.tolist(), hit))
+    return hit
 
 
 def _block_class(
@@ -294,23 +407,15 @@ def _block_class(
     """(canonical block, orbit size, stabilizer size) for one prime block.
 
     The canonical block is the lexicographic minimum of the orbit under
-    Aut(G_p).  The first member met pays the one scan of its orbit, which
-    indexes every member; later members are lookups.
+    Aut(G_p).  |End| is checked against the budget first, so whether a call
+    raises never depends on earlier calls.
     """
     _check_end_budget(p, lam, budget)
-    index = _orbit_index.setdefault((p, lam), {})
-    hit = index.get(flat_block)
-    if hit is None:
-        auts = _aut_matrices(p, lam, budget)
-        r = len(lam)
-        c = np.array(flat_block, dtype=np.int64).reshape(r, r)
-        flat = _transform_all(auts, c, p ** lam[0]).reshape(len(auts), -1)
-        flat = flat[np.lexsort(flat.T[::-1])]  # rows in lexicographic order
-        orbit = flat[np.r_[True, np.any(flat[1:] != flat[:-1], axis=1)]]
-        canonical = tuple(map(tuple, orbit[0].reshape(r, r).tolist()))
-        hit = (canonical, len(orbit), len(auts) // len(orbit))
-        index.update(dict.fromkeys(map(tuple, orbit.tolist()), hit))
-    return hit
+    r = len(lam)
+    code = 0
+    for i, j, radix, scale in zip(*_cells(p, lam)):  # _encode on one block
+        code = code * radix + flat_block[i * r + j] // scale
+    return _class_of(p, lam, code)
 
 
 def _class_id(group: FinAbGroup, canonical_blocks: dict[int, tuple]) -> PairClassId:
@@ -477,21 +582,6 @@ def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
 # enumeration of all symmetric pairings on a group
 
 
-def _enumerate_blocks(p: int, lam: tuple[int, ...]) -> np.ndarray:
-    """All symmetric scaled blocks mod p^lam1 with compatible entry orders,
-    shape (N, r, r): upper cell (i, j) takes p^min(lam_i, lam_j) values
-    spaced by p^(lam1 - min), cells counted in mixed radix in row-major order."""
-    r = len(lam)
-    upper = np.triu_indices(r)
-    mins = [min(lam[i], lam[j]) for i, j in zip(*upper)]
-    radices = [p**e for e in mins]
-    vals = _mixed_radix(radices, [p ** (lam[0] - e) for e in mins])
-    blocks = np.zeros((len(vals), r, r), dtype=np.int64)
-    blocks[:, upper[0], upper[1]] = vals
-    blocks[:, upper[1], upper[0]] = vals
-    return blocks
-
-
 def _block_is_perfect(p, lam, blk) -> bool:
     q = p ** lam[0]
     r = len(lam)
@@ -516,17 +606,14 @@ def pairing_class_table(
     per_prime = []
     for p, lam in g.types:
         _check_end_budget(p, lam, budget)  # raises before any Gram work
-        r = len(lam)
-        blocks = _enumerate_blocks(p, lam)
+        blocks = _enumerate_blocks(p, lam)  # block k has code k
+        codes = range(len(blocks))
         if perfect_only:
             # row i of a block is divisible by p^(lam1 - lam_i); the block is
             # perfect iff the quotient is invertible mod p (_block_is_perfect)
             row_scale = np.array([p ** (lam[0] - e) for e in lam], dtype=np.int64)
-            blocks = blocks[_invertible_mod_p(blocks // row_scale[:, None], p)]
-        classes = {
-            _block_class(p, lam, flat, budget)
-            for flat in map(tuple, blocks.reshape(-1, r * r).tolist())
-        }
+            codes = np.flatnonzero(_invertible_mod_p(blocks // row_scale[:, None], p)).tolist()
+        classes = {_class_of(p, lam, code) for code in codes}
         per_prime.append([(p, *cls) for cls in sorted(classes)])
     table = [
         PairingClassInfo(

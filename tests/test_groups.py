@@ -275,3 +275,16 @@ def test_cyclic_prime_power_aut_order():
     assert aut_order(G(16)) == 8
     assert aut_order(G(9)) == 6
     assert aut_order(G(27)) == 18
+
+
+def test_aut_order_closed_form_matches_enumeration():
+    """The Hillar-Rhea closed form equals the count of enumerated
+    automorphisms on every group of order <= 200 at p = 2, 3 with
+    |End| <= 2000, mixed primes included."""
+    from cokpairs.groups import enumerate_automorphisms, hom_count
+    from cokpairs.theory import groups_at_primes
+
+    groups = [g for g in groups_at_primes([2, 3], 200) if hom_count(g, g) <= 2000]
+    assert len(groups) == 59
+    for g in groups:
+        assert aut_order(g) == sum(1 for _ in enumerate_automorphisms(g)), g.text()

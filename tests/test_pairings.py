@@ -419,18 +419,30 @@ def test_aut_preserving_count_large_odd_cyclic():
 
 
 def test_orbit_products_refuse_int64_overflow():
-    from cokpairs.pairings import _transform_all
+    from orbit_oracle import transform_all
 
     one = np.ones((1, 1, 1), dtype=np.int64)
-    assert _transform_all(one, one[0] * 2, 3**19).tolist() == [[[2]]]
+    assert transform_all(one, one[0] * 2, 3**19).tolist() == [[[2]]]
     with pytest.raises(BudgetExceeded):
-        _transform_all(one, one[0], 2**32)
+        transform_all(one, one[0], 2**32)
+
+
+def test_orbit_closure_refuses_int64_overflow():
+    """Under a budget that lets them through, a block whose orbit products
+    (q^2 = 2^64) or whose codes (2^66 symmetric blocks) would leave int64
+    raises BudgetExceeded instead of wrapping."""
+    from cokpairs.pairings import _block_class
+
+    with pytest.raises(BudgetExceeded):
+        _block_class(2, (32, 1), (1, 0, 0, 2**31), budget=2**40)
+    with pytest.raises(BudgetExceeded):
+        _block_class(2, (64, 1), (1, 0, 0, 2**63), budget=2**70)
 
 
 def test_budget_errors_do_not_depend_on_call_history():
     """A small budget raises, or skips, whether or not a default-budget call
     has already classified the same group in this process."""
-    from cokpairs.pairings import _aut_matrices
+    from cokpairs.pairings import _block_class
     from cokpairs.theory import mass_check
 
     g = G(4, 2)  # |End| = 32
@@ -441,7 +453,7 @@ def test_budget_errors_do_not_depend_on_call_history():
         lambda: pairing_class_table(g, True, budget=10),
         lambda: canonical_pair_class(pg, budget=10),
         lambda: aut_preserving_count(pg, budget=10),
-        lambda: _aut_matrices(2, (2, 1), budget=10),
+        lambda: _block_class(2, (2, 1), sum(pg.pairing.scaled_block(2), ()), budget=10),
     ):
         with pytest.raises(BudgetExceeded):
             call()
@@ -458,8 +470,9 @@ def test_aut_matrices_match_enumerated_automorphisms():
     """The automorphisms listed from invertible mod-p residues are distinct
     and, as a set, equal Aut(G) enumerated in pure Python, on every p-group
     of order <= 64 (p = 2, 3) with |End| <= 4096."""
+    from orbit_oracle import aut_matrices
+
     from cokpairs.groups import aut_order, hom_count
-    from cokpairs.pairings import _aut_matrices
     from cokpairs.theory import groups_at_primes
 
     groups = [
@@ -471,7 +484,7 @@ def test_aut_matrices_match_enumerated_automorphisms():
     assert len(groups) == 24
     for g in groups:
         ((p, lam),) = g.types
-        auts = [tuple(map(tuple, a)) for a in _aut_matrices(p, lam).tolist()]
+        auts = [tuple(map(tuple, a)) for a in aut_matrices(p, lam).tolist()]
         assert len(auts) == len(set(auts)) == aut_order(g), g.text()
         assert set(auts) == {phi.matrix() for phi in enumerate_automorphisms(g)}, g.text()
 
@@ -515,3 +528,131 @@ def test_orbit_index_matches_brute_force_orbits():
         pairings._orbit_index.clear()
         pairing_class_table(g, perfect_only=False)
         assert [canonical_pair_class(pg).text for pg in pgs] == expected, g.text()
+
+
+def test_closure_canonizer_matches_orbit_scan():
+    """The closure canonizer gives the orbit scan's (canonical block, orbit
+    size, stabilizer size) on every block, perfect or not, of every p-group
+    with |End| <= 4096 at p = 2, 3, 5, and on every perfect block of every
+    group in the default p = 2 prediction table."""
+    from orbit_oracle import block_classes
+
+    from cokpairs.groups import HOM_BUDGET, hom_count
+    from cokpairs.pairings import _block_class, _block_is_perfect, _enumerate_blocks
+    from cokpairs.theory import groups_at_primes
+
+    small = [
+        g for p in (2, 3, 5) for g in groups_at_primes([p], 4096)
+        if g.types and hom_count(g, g) <= 4096
+    ]
+    table = [g for g in groups_at_primes([2], 64) if g.types and hom_count(g, g) <= HOM_BUDGET]
+    assert (len(small), len(table)) == (49, 26)
+    for g, perfect_only in [(g, False) for g in small] + [(g, True) for g in table]:
+        ((p, lam),) = g.types
+        r = len(lam)
+        blocks = list(map(tuple, _enumerate_blocks(p, lam).reshape(-1, r * r).tolist()))
+        if perfect_only:
+            rows = [[b[i * r : (i + 1) * r] for i in range(r)] for b in blocks]
+            blocks = [b for b, m in zip(blocks, rows) if _block_is_perfect(p, lam, m)]
+        expected = block_classes(p, lam, blocks)
+        for b in blocks:
+            assert _block_class(p, lam, b, HOM_BUDGET) == expected[b], (g.text(), b)
+
+
+def test_cyclic_closed_form_matches_orbit_scan():
+    """Rank one needs no orbit: the closed form agrees with the orbit scan
+    on every c mod p^e for p^e up to 2^9, 3^6, 5^4, 7^3, 11^2 and 13^2."""
+    from orbit_oracle import block_classes
+
+    from cokpairs.pairings import _block_class
+
+    for p, top in ((2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)):
+        for e in range(1, top + 1):
+            blocks = [(c,) for c in range(p**e)]
+            expected = block_classes(p, (e,), blocks)
+            for b in blocks:
+                assert _block_class(p, (e,), b, p ** (e + 1)) == expected[b], (p, e, b)
+
+
+def test_generators_close_to_aut():
+    """The generating set generates: the closure of I under right
+    multiplication by the generators is the list of all automorphism
+    matrices, and has |Aut| elements by the closed form, on the 52 p-group
+    types with |Aut| <= 50,000 and order <= 128, 243, 125, 49 at p = 2, 3,
+    5, 7."""
+    from orbit_oracle import aut_matrices
+
+    from cokpairs.groups import aut_order_of_type
+    from cokpairs.pairings import _generators
+    from cokpairs.theory import groups_at_primes
+
+    types = [
+        g.types[0]
+        for p, bound in ((2, 128), (3, 243), (5, 125), (7, 49))
+        for g in groups_at_primes([p], bound)
+        if g.types and aut_order_of_type(*g.types[0]) <= 50_000
+    ]
+    assert len(types) == 52
+    for p, lam in types:
+        r = len(lam)
+        mods = np.array([p**a for a in lam], dtype=np.int64)[:, None]
+        radices = [int(m) for m in mods[:, 0] for _ in range(r)]
+
+        def codes(mats):
+            return np.ravel_multi_index(tuple(mats.reshape(len(mats), r * r).T), radices)
+
+        xs = []
+        for i, j, t in _generators(p, lam):
+            x = np.eye(r, dtype=np.int64)
+            x[i, j] += t
+            xs.append(x)
+        frontier = np.eye(r, dtype=np.int64)[None]
+        closure = codes(frontier)
+        while len(frontier):
+            images = np.concatenate([frontier[:0]] + [frontier @ x % mods for x in xs])
+            found, first = np.unique(codes(images), return_index=True)
+            new = ~np.isin(found, closure)
+            frontier = images[first[new]]
+            closure = np.union1d(closure, found[new])
+        auts = np.sort(codes(aut_matrices(p, lam) % mods))
+        assert len(closure) == aut_order_of_type(p, lam), (p, lam)
+        assert np.array_equal(closure, auts), (p, lam)
+
+
+def test_aut_preserving_count_large_cyclic_is_small():
+    """Z/3^14 is classified in closed form: no automorphism list (about
+    550 MB traced when all 3,188,646 were materialized)."""
+    import tracemalloc
+
+    q = 3**14
+    z = G(q)
+    tracemalloc.start()
+    try:
+        count = aut_preserving_count(PairedGroup(z, gram(z, [[Fraction(q - 2, q)]])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2
+    assert peak < 50 * 2**20, peak
+
+
+def test_elementary_abelian_large_prime_class():
+    """(Z/53)^2 is classified by orbit closure without listing its 7.3 M
+    automorphisms (828 MB RSS when they were listed)."""
+    import tracemalloc
+
+    from cokpairs import pairings
+
+    z = G(53, 53)
+    pg = PairedGroup(z, gram(z, [[0, Fraction(1, 53)], [Fraction(1, 53), 0]]))
+    pairings._orbit_index.pop((53, (1, 1)), None)
+    tracemalloc.start()
+    try:
+        text = canonical_pair_class(pg).text
+        count = aut_preserving_count(pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "Z/53+Z/53|0/1,1/53,1/53,0/1"
+    assert count == 104
+    assert peak < 250 * 2**20, peak
