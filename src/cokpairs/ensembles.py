@@ -28,7 +28,7 @@ from .errors import NotSymmetric, UnbalancedDistribution
 from .graphs import Graph, er_adjacency, graph_from_adjacency, laplacian_array, upper_indices
 from .groups import FinAbGroup
 from .intmat import IntMatrix
-from .pairings import PairedGroup, canonical_pair_class, gram_from_scaled_blocks
+from .pairings import blocks_pair_class, gram_from_scaled_blocks
 
 
 @dataclass(frozen=True)
@@ -404,8 +404,7 @@ def cokernel_pairing_class(
         if isinstance(res, CapExceeded):
             return res
         types[p], blocks[p] = res
-    group = FinAbGroup.from_prime_types(types)
-    return canonical_pair_class(PairedGroup(group, gram_from_scaled_blocks(group, blocks)))
+    return blocks_pair_class(FinAbGroup.from_prime_types(types), blocks)
 
 
 def default_cap(p: int, order_bound: int) -> int:

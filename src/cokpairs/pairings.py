@@ -15,10 +15,11 @@ the fast path against.  The fast path (`ensembles`) works mod p^(2k) and
 takes both Grams from u m u^T: m is symmetric, so v^T m u^T = diag(d) too,
 and the rows of u lift generators of the group as well as of its dual.
 
-Classification canonicalizes a Gram by taking the lexicographically minimal
-matrix over its orbit under Aut(G), prime by prime (entries live in
-Z/p^lam1 after scaling to the common denominator p^lam1).  Aut(G_p) is
-never listed.  On a cyclic p-part the orbit of c is {u^2 c : u a unit}, and
+Classification and the perfectness test (`_perfect_mask`) both read the
+integer scaled block of each prime part, its Gram times p^lam1 mod p^lam1:
+the fast path hands its blocks to `blocks_pair_class`, a PairedGroup passes
+`scaled_block(p)`.  The class is the lexicographically minimal block over
+the orbit under Aut(G_p), prime by prime.  Aut(G_p) is never listed.  On a cyclic p-part the orbit of c is {u^2 c : u a unit}, and
 its minimum and stabilizer have closed forms.  At rank >= 2 the orbit is the
 closure of the Gram under C -> x^T C x for x in a fixed generating set of
 Aut(G_p): the transvections and the diagonal unit generators, with their
@@ -50,7 +51,7 @@ import numpy as np
 
 from .arith import factorint
 from .errors import BudgetExceeded, NotInDual, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, GroupHom, _rank_mod_p, aut_order_of_type
+from .groups import HOM_BUDGET, FinAbGroup, GroupHom, aut_order_of_type
 from .intmat import IntMatrix, RationalVector, smith_normal_form
 
 
@@ -166,14 +167,6 @@ def gram_from_scaled_blocks(group: FinAbGroup, blocks: dict[int, tuple]) -> Pair
     return PairingGram.from_fractions(group, rows)
 
 
-def is_perfect_gram(gram: PairingGram) -> bool:
-    """Whether the induced map G -> dual(G) is bijective (mod-p rank of the
-    scaled block on each prime part)."""
-    return all(
-        _block_is_perfect(p, lam, gram.scaled_block(p)) for p, lam in gram.group.types
-    )
-
-
 @dataclass(frozen=True)
 class PairedGroup:
     """A finite abelian group with a symmetric pairing on it."""
@@ -187,8 +180,12 @@ class PairedGroup:
 
     @cached_property
     def perfect(self) -> bool:
-        """Whether the pairing is perfect, computed on first access."""
-        return is_perfect_gram(self.pairing)
+        """Whether G -> dual(G) is bijective, computed on first access; each
+        block is a batch of one of Python ints, so no entry can wrap."""
+        return all(
+            _perfect_mask(p, lam, np.array([self.pairing.scaled_block(p)], dtype=object))[0]
+            for p, lam in self.group.types
+        )
 
     def text(self) -> str:
         return f"{self.group.text()}|{self.pairing.text()}"
@@ -217,27 +214,30 @@ def _check_end_budget(p: int, lam: tuple[int, ...], budget: int) -> None:
         raise BudgetExceeded(f"|End| = {total} for p={p}, type {lam} exceeds budget {budget}")
 
 
-def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Mask of the (N, r, r) batch whose reduction mod p is invertible.
+def _perfect_mask(p: int, lam: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
+    """Mask of the (N, r, r) batch of scaled blocks whose pairing is perfect.
 
-    The determinant mod p is the Leibniz sum over permutations, reduced
-    after every product; permutations through an entry that is 0 in every
-    matrix of the batch are skipped.  Products stay below p^2, which for
-    r >= 2 is at most |End|^(1/2) (for r = 1 the only product is 1 * entry).
+    Row i of a block is divisible by p^(lam1 - lam_i); the block is perfect
+    iff the quotient is invertible mod p.  That is decided by r steps of
+    fraction-free elimination mod p: step t swaps a row with a nonzero entry
+    in column t up to row t and replaces each row x below it by
+    (a x - b y) mod p, y the pivot row, a its entry and b the entry of x in
+    column t.  No inverse is taken and products stay below p^2.  Int64
+    batches come from `_enumerate_blocks`, whose code bound keeps p below
+    2^21 at r >= 2 (r = 1 forms no product); single Grams pass object arrays.
     """
-    r = mats.shape[1]
-    m = mats % p
-    nonzero = m.any(axis=0)
-    det = np.zeros(len(m), dtype=np.int64)
-    for perm in itertools.permutations(range(r)):
-        if not all(nonzero[i, j] for i, j in enumerate(perm)):
-            continue
-        term = np.ones(len(m), dtype=np.int64)
-        for i, j in enumerate(perm):
-            term = term * m[:, i, j] % p
-        odd = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :]) % 2
-        det = (det - term if odd else det + term) % p
-    return det != 0
+    scale = np.array([p ** (lam[0] - e) for e in lam], dtype=blocks.dtype)
+    m = blocks // scale[:, None] % p
+    every = np.arange(len(m))
+    ok = np.ones(len(m), dtype=bool)
+    for t in range(len(lam)):
+        piv = t + (m[:, t:, t] != 0).argmax(axis=1)
+        ok &= m[every, piv, t] != 0
+        m[every, t], m[every, piv] = m[every, piv], m[every, t]
+        a = m[:, t, t, None, None]
+        b = m[:, t + 1 :, t, None]
+        m[:, t + 1 :] = (a * m[:, t + 1 :] - b * m[:, t, None]) % p
+    return ok
 
 
 @cache
@@ -402,19 +402,18 @@ def _class_of(p: int, lam: tuple[int, ...], code: int) -> tuple:
 
 
 def _block_class(
-    p: int, lam: tuple[int, ...], flat_block: tuple[int, ...], budget: int
+    p: int, lam: tuple[int, ...], block, budget: int
 ) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """(canonical block, orbit size, stabilizer size) for one prime block.
+    """(canonical block, orbit size, stabilizer size) of one r x r block.
 
     The canonical block is the lexicographic minimum of the orbit under
     Aut(G_p).  |End| is checked against the budget first, so whether a call
     raises never depends on earlier calls.
     """
     _check_end_budget(p, lam, budget)
-    r = len(lam)
     code = 0
     for i, j, radix, scale in zip(*_cells(p, lam)):  # _encode on one block
-        code = code * radix + flat_block[i * r + j] // scale
+        code = code * radix + block[i][j] // scale
     return _class_of(p, lam, code)
 
 
@@ -425,14 +424,20 @@ def _class_id(group: FinAbGroup, canonical_blocks: dict[int, tuple]) -> PairClas
     return PairClassId(rep, text, hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
+def blocks_pair_class(
+    group: FinAbGroup, blocks: dict[int, tuple], budget: int = HOM_BUDGET
+) -> PairClassId:
+    """Class id of the pairing given by its per-prime scaled blocks mod p^lam1."""
+    return _class_id(
+        group,
+        {p: _block_class(p, lam, blocks[p], budget)[0] for p, lam in group.types},
+    )
+
+
 def canonical_pair_class(pg: PairedGroup, budget: int = HOM_BUDGET) -> PairClassId:
     """Stable class id: per-prime lexicographically minimal Gram over Aut(G)."""
-    return _class_id(
-        pg.group,
-        {
-            p: _block_class(p, lam, sum(pg.pairing.scaled_block(p), ()), budget)[0]
-            for p, lam in pg.group.types
-        },
+    return blocks_pair_class(
+        pg.group, {p: pg.pairing.scaled_block(p) for p, _ in pg.group.types}, budget
     )
 
 
@@ -446,7 +451,7 @@ def pair_isomorphic(a: PairedGroup, b: PairedGroup, budget: int = HOM_BUDGET) ->
 def aut_preserving_count(a: PairedGroup, budget: int = HOM_BUDGET) -> int:
     """|Aut(G, pairing)|: the product of the per-prime stabilizer sizes."""
     return prod(
-        _block_class(p, lam, sum(a.pairing.scaled_block(p), ()), budget)[2]
+        _block_class(p, lam, a.pairing.scaled_block(p), budget)[2]
         for p, lam in a.group.types
     )
 
@@ -582,15 +587,6 @@ def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
 # enumeration of all symmetric pairings on a group
 
 
-def _block_is_perfect(p, lam, blk) -> bool:
-    q = p ** lam[0]
-    r = len(lam)
-    reduced = [
-        [(blk[i][j] // (q // p ** lam[i])) % p for j in range(r)] for i in range(r)
-    ]
-    return _rank_mod_p(reduced, p) == r
-
-
 @dataclass(frozen=True)
 class PairingClassInfo:
     class_id: PairClassId
@@ -609,10 +605,7 @@ def pairing_class_table(
         blocks = _enumerate_blocks(p, lam)  # block k has code k
         codes = range(len(blocks))
         if perfect_only:
-            # row i of a block is divisible by p^(lam1 - lam_i); the block is
-            # perfect iff the quotient is invertible mod p (_block_is_perfect)
-            row_scale = np.array([p ** (lam[0] - e) for e in lam], dtype=np.int64)
-            codes = np.flatnonzero(_invertible_mod_p(blocks // row_scale[:, None], p)).tolist()
+            codes = np.flatnonzero(_perfect_mask(p, lam, blocks)).tolist()
         classes = {_class_of(p, lam, code) for code in codes}
         per_prime.append([(p, *cls) for cls in sorted(classes)])
     table = [

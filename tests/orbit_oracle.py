@@ -4,18 +4,21 @@ It lists every automorphism matrix of the p-group (the lifts of the
 invertible mod-p residues), transforms the Gram block by each one and takes
 the lexicographically smallest image.  The stabilizer is |Aut| / |orbit|
 counted over the listed matrices, so nothing here relies on the generating
-set or on the closed form for |Aut| that the program uses.
+set or on the closed form for |Aut| that the program uses, nor on its
+perfectness test: a residue is invertible when its Leibniz determinant is
+nonzero mod p.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import prod
 
 import numpy as np
 
 from cokpairs.errors import BudgetExceeded
 from cokpairs.groups import HOM_BUDGET
-from cokpairs.pairings import _check_end_budget, _invertible_mod_p
+from cokpairs.pairings import _check_end_budget
 
 
 def mixed_radix(radices: list[int], scales: list[int]) -> np.ndarray:
@@ -24,6 +27,28 @@ def mixed_radix(radices: list[int], scales: list[int]) -> np.ndarray:
     len(radices))."""
     digits = np.array(np.unravel_index(np.arange(prod(radices)), radices), dtype=np.int64)
     return (digits * np.array(scales, dtype=np.int64)[:, None]).T
+
+
+def invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the (N, r, r) batch whose reduction mod p is invertible.
+
+    The determinant mod p is the Leibniz sum over permutations, reduced
+    after every product; permutations through an entry that is 0 in every
+    matrix of the batch are skipped.  Products stay below p^2.
+    """
+    r = mats.shape[1]
+    m = mats % p
+    nonzero = m.any(axis=0)
+    det = np.zeros(len(m), dtype=np.int64)
+    for perm in itertools.permutations(range(r)):
+        if not all(nonzero[i, j] for i, j in enumerate(perm)):
+            continue
+        term = np.ones(len(m), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * m[:, i, j] % p
+        odd = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :]) % 2
+        det = (det - term if odd else det + term) % p
+    return det != 0
 
 
 def aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.ndarray:
@@ -39,7 +64,7 @@ def aut_matrices(p: int, lam: tuple[int, ...], budget: int = HOM_BUDGET) -> np.n
     r = len(lam)
     cells = [(a, b) for a in lam for b in lam]
     residues = mixed_radix([p if a <= b else 1 for a, b in cells], [1] * r * r)
-    residues = residues[_invertible_mod_p(residues.reshape(-1, r, r), p)]
+    residues = residues[invertible_mod_p(residues.reshape(-1, r, r), p)]
     lifts = mixed_radix(
         [p ** (min(a, b) - (a <= b)) for a, b in cells],
         [p ** max(a - b, 1) for a, b in cells],

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand runs and prints what it should."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,6 +166,9 @@ def test_verify_lemmas(capsys):
     assert code == 0
     assert "0 failures" in out
     assert "special pair count" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3471184d5dd554994da5f28f0b6c706676e9ac8617e4739bc10352e75e25a783"
+    )
 
 
 def test_alpha_balanced_sample_needs_its_distribution(capsys):

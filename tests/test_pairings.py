@@ -393,6 +393,15 @@ def test_perfectness_matches_enumeration():
                     break
                 seen.add(row)
             assert pg.perfect == injective, pg.text()
+    # entries beyond int64 stay exact: the hyperbolic and the all-1/p Gram
+    # on Z/p+Z/p with p = 2^32 + 15, and 1/2^70 against 2/2^70 next to 1/2
+    p = 2**32 + 15
+    g = G(p, p)
+    assert PairedGroup(g, gram(g, [[0, Fraction(1, p)], [Fraction(1, p), 0]])).perfect
+    assert not PairedGroup(g, gram(g, [[Fraction(1, p)] * 2] * 2)).perfect
+    g = G(2**70, 2)
+    assert PairedGroup(g, gram(g, [[Fraction(1, 2**70), 0], [0, Fraction(1, 2)]])).perfect
+    assert not PairedGroup(g, gram(g, [[Fraction(2, 2**70), 0], [0, Fraction(1, 2)]])).perfect
 
 
 def test_paired_group_text_roundtrip():
@@ -434,9 +443,9 @@ def test_orbit_closure_refuses_int64_overflow():
     from cokpairs.pairings import _block_class
 
     with pytest.raises(BudgetExceeded):
-        _block_class(2, (32, 1), (1, 0, 0, 2**31), budget=2**40)
+        _block_class(2, (32, 1), ((1, 0), (0, 2**31)), budget=2**40)
     with pytest.raises(BudgetExceeded):
-        _block_class(2, (64, 1), (1, 0, 0, 2**63), budget=2**70)
+        _block_class(2, (64, 1), ((1, 0), (0, 2**63)), budget=2**70)
 
 
 def test_budget_errors_do_not_depend_on_call_history():
@@ -453,7 +462,7 @@ def test_budget_errors_do_not_depend_on_call_history():
         lambda: pairing_class_table(g, True, budget=10),
         lambda: canonical_pair_class(pg, budget=10),
         lambda: aut_preserving_count(pg, budget=10),
-        lambda: _block_class(2, (2, 1), sum(pg.pairing.scaled_block(2), ()), budget=10),
+        lambda: _block_class(2, (2, 1), pg.pairing.scaled_block(2), budget=10),
     ):
         with pytest.raises(BudgetExceeded):
             call()
@@ -538,7 +547,7 @@ def test_closure_canonizer_matches_orbit_scan():
     from orbit_oracle import block_classes
 
     from cokpairs.groups import HOM_BUDGET, hom_count
-    from cokpairs.pairings import _block_class, _block_is_perfect, _enumerate_blocks
+    from cokpairs.pairings import _block_class, _enumerate_blocks, _perfect_mask
     from cokpairs.theory import groups_at_primes
 
     small = [
@@ -550,13 +559,80 @@ def test_closure_canonizer_matches_orbit_scan():
     for g, perfect_only in [(g, False) for g in small] + [(g, True) for g in table]:
         ((p, lam),) = g.types
         r = len(lam)
-        blocks = list(map(tuple, _enumerate_blocks(p, lam).reshape(-1, r * r).tolist()))
+        blocks = _enumerate_blocks(p, lam)
         if perfect_only:
-            rows = [[b[i * r : (i + 1) * r] for i in range(r)] for b in blocks]
-            blocks = [b for b, m in zip(blocks, rows) if _block_is_perfect(p, lam, m)]
-        expected = block_classes(p, lam, blocks)
-        for b in blocks:
-            assert _block_class(p, lam, b, HOM_BUDGET) == expected[b], (g.text(), b)
+            blocks = blocks[_perfect_mask(p, lam, blocks)]
+        flat = list(map(tuple, blocks.reshape(-1, r * r).tolist()))
+        expected = block_classes(p, lam, flat)
+        for b, block in zip(flat, blocks.tolist()):
+            assert _block_class(p, lam, block, HOM_BUDGET) == expected[b], (g.text(), b)
+
+
+def test_perfect_mask_matches_leibniz_determinant():
+    """The elimination agrees with the oracle's Leibniz determinant on every
+    residue matrix for r <= 3 at p = 2, 3 and r = 4 at p = 2, and on seeded
+    random scaled blocks with r <= 6 at p = 5, 7: entries mod p^lam1, row i
+    a multiple of p^(lam1 - lam_i), the residue read from its lowest digit."""
+    from orbit_oracle import invertible_mod_p, mixed_radix
+
+    from cokpairs.pairings import _perfect_mask
+
+    for p, r in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
+        mats = mixed_radix([p] * r * r, [1] * r * r).reshape(-1, r, r)
+        assert np.array_equal(_perfect_mask(p, (1,) * r, mats), invertible_mod_p(mats, p))
+    rng = np.random.default_rng(12)
+    for p in (5, 7):
+        for r in range(1, 7):
+            lam = tuple(sorted(rng.integers(1, 3, size=r).tolist(), reverse=True))
+            scale = np.array([p ** (lam[0] - e) for e in lam], dtype=np.int64)[:, None]
+            residues = rng.integers(0, p, size=(500, r, r))
+            high = p * rng.integers(0, p, size=(500, r, r))
+            blocks = (residues + high) * scale % p ** lam[0]
+            assert np.array_equal(
+                _perfect_mask(p, lam, blocks), invertible_mod_p(residues, p)
+            ), (p, lam)
+
+
+def test_skipped_p2_groups_certified_at_raised_budget():
+    """Two groups the default table skips, classified at a raised budget:
+    (Z/2)^5 has one perfect class of 13,888 Grams, MacWilliams' count of
+    nonsingular symmetric 5 x 5 matrices over F_2, and Z/4+(Z/2)^4 has
+    three.  Each gram_count times stabilizer is |Aut(G)|."""
+    from cokpairs.groups import aut_order
+    from cokpairs.theory import mass_check
+
+    macwilliams = 2**15 * Fraction(1, 2) * Fraction(7, 8) * Fraction(31, 32)
+    for g, counts, stabs in (
+        (G(2, 2, 2, 2, 2), [macwilliams], [720]),
+        (G(4, 2, 2, 2, 2), [448, 13440, 448], [23040, 768, 23040]),
+    ):
+        table = pairing_class_table(g, perfect_only=True, budget=10**12)
+        assert [info.gram_count for info in table] == counts, g.text()
+        assert [info.aut_preserving for info in table] == stabs, g.text()
+        assert all(info.gram_count * info.aut_preserving == aut_order(g) for info in table)
+    assert mass_check((2,), 64).skipped == (
+        "Z/2+Z/2+Z/2+Z/2+Z/2",
+        "Z/2+Z/2+Z/2+Z/2+Z/2+Z/2",
+        "Z/4+Z/2+Z/2+Z/2+Z/2",
+    )
+
+
+def test_odd_prime_perfect_class_counts_follow_wall():
+    """At odd p a perfect pairing is fixed by the rank and the discriminant
+    square class of each level (Wall's normal form), so a type with k
+    distinct parts has 2^k perfect classes.  Checked on the 22 types at
+    p = 3, 5, 7 with 4096 < |End| <= 2 * 10^5, beyond the orbit scan."""
+    from cokpairs.groups import hom_count
+    from cokpairs.theory import groups_at_primes
+
+    groups = [
+        g for p in (3, 5, 7) for g in groups_at_primes([p], 117649)
+        if g.types and 4096 < hom_count(g, g) <= 2 * 10**5
+    ]
+    assert len(groups) == 22
+    for g in groups:
+        ((_, lam),) = g.types
+        assert len(pairing_class_table(g, perfect_only=True)) == 2 ** len(set(lam)), g.text()
 
 
 def test_cyclic_closed_form_matches_orbit_scan():
@@ -571,7 +647,7 @@ def test_cyclic_closed_form_matches_orbit_scan():
             blocks = [(c,) for c in range(p**e)]
             expected = block_classes(p, (e,), blocks)
             for b in blocks:
-                assert _block_class(p, (e,), b, p ** (e + 1)) == expected[b], (p, e, b)
+                assert _block_class(p, (e,), (b,), p ** (e + 1)) == expected[b], (p, e, b)
 
 
 def test_generators_close_to_aut():
