@@ -164,10 +164,11 @@ def sylow_paired_group(
 ):
     """Sylow p-part of the torsion cokernel with its pairing, mod p^(2*cap).
 
-    m_rows is a square symmetric integer matrix (any sign).  free_rank is
-    the known rational kernel dimension (e.g. number of components for a
-    graph Laplacian); unresolved diagonal entries beyond it, or resolved
-    exponents at or above cap, yield CapExceeded.
+    m_rows is a square symmetric integer matrix (any sign); anything else
+    raises NotSymmetric.  free_rank is the known rational kernel dimension
+    (e.g. number of components for a graph Laplacian); unresolved diagonal
+    entries beyond it, or resolved exponents at or above cap, yield
+    CapExceeded.
 
     side is "group" (the pairing on the cokernel) or "dual" (the induced
     pairing on its dual).  For a symmetric matrix the two are isomorphic and
@@ -178,8 +179,7 @@ def sylow_paired_group(
     """
     if side not in ("group", "dual"):
         raise ValueError(f"side must be 'group' or 'dual', got {side!r}")
-    n = len(m_rows)
-    res = _sylow_block(_as_array(m_rows, (n, n)), p, cap, free_rank)
+    res = _sylow_block(symmetric_array(m_rows, "sylow_paired_group"), p, cap, free_rank)
     if isinstance(res, CapExceeded):
         return res
     lam, block = res

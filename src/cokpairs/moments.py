@@ -49,16 +49,12 @@ def dual_gram_numerators(group: FinAbGroup, gram: PairingGram, p: int) -> dict:
     """Numerators a_ij with <dual_i, dual_j> = a_ij / p^lam_j for i <= j
     (generators in canonical descending-exponent order within the p-block)."""
     lam = group.partition(p)
-    idx = list(group.generator_indices(p))
-    out = {}
-    for a in range(len(lam)):
-        for b in range(a, len(lam)):
-            val = gram.gram[idx[a]][idx[b]].value
-            scaled = val * p ** lam[b]
-            if scaled.denominator != 1:
-                raise ValueError("gram entry incompatible with generator orders")
-            out[(a, b)] = int(scaled) % p ** lam[b]
-    return out
+    block = gram.scaled_block(p)
+    return {
+        (a, b): block[a][b] // p ** (lam[0] - lam[b])
+        for a in range(len(lam))
+        for b in range(a, len(lam))
+    }
 
 
 def _congruence_table_single_prime(m_rows, n, p, lam):

@@ -15,21 +15,26 @@ the fast path against.  The fast path (`ensembles`) works mod p^(2k) and
 takes both Grams from u m u^T: m is symmetric, so v^T m u^T = diag(d) too,
 and the rows of u lift generators of the group as well as of its dual.
 
-Classification and the perfectness test (`_perfect_mask`) both read the
-integer scaled block of each prime part, its Gram times p^lam1 mod p^lam1:
-the fast path hands its blocks to `blocks_pair_class`, a PairedGroup passes
-`scaled_block(p)`.  The class is the lexicographically minimal block over
-the orbit under Aut(G_p), prime by prime.  Aut(G_p) is never listed.  On a cyclic p-part the orbit of c is {u^2 c : u a unit}, and
-its minimum and stabilizer have closed forms.  At rank >= 2 the orbit is the
-closure of the Gram under C -> x^T C x for x in a fixed generating set of
-Aut(G_p): the transvections and the diagonal unit generators, with their
-2^k-th powers.  It is grown frontier by frontier in numpy, each block
-identified by an int64 code whose order is the lexicographic order of the
-blocks, and the stabilizer is |Aut(G_p)| / |orbit| with |Aut(G_p)| from the
-Hillar-Rhea closed form (`groups.aut_order_of_type`).  Each orbit is closed
-once, by `_class_of`, the first time one of its members is met; every member
-is then indexed under (canonical block, orbit size, stabilizer size), and
-class ids, class tables and |Aut(G, pairing)| are all read from that index.
+A PairingGram stores the integer scaled block of each prime part, its Gram
+times p^lam1 mod p^lam1.  Classification, the perfectness test
+(`_perfect_mask`), the text form, `pushforward` and the Sur* numerators all
+read those blocks, so no trial builds a Fraction: parsing and this exact
+path enter through `from_fractions`, and the `entry`, `gram` and
+`evaluate` views return Q/Z values.
+
+The class is the lexicographically minimal block over the orbit under
+Aut(G_p), prime by prime.  Aut(G_p) is never listed.  On a cyclic p-part the
+orbit of c is {u^2 c : u a unit}, and its minimum and stabilizer have closed
+forms.  At rank >= 2 the orbit is the closure of the Gram under C -> x^T C x
+for x in a fixed generating set of Aut(G_p): the transvections and the
+diagonal unit generators, with their 2^k-th powers.  It is grown frontier by
+frontier in numpy, each block identified by an int64 code whose order is the
+lexicographic order of the blocks, and the stabilizer is |Aut(G_p)| /
+|orbit| with |Aut(G_p)| from the Hillar-Rhea closed form
+(`groups.aut_order_of_type`).  Each orbit is closed once, by `_class_of`, the
+first time one of its members is met; every member is then indexed under
+(canonical block, orbit size, stabilizer size), and class ids, class tables
+and |Aut(G, pairing)| are all read from that index.
 
 No floating point is used.  Codes stay below the number of symmetric blocks
 (at most |End(G_p)|) and the orbit products below q^2, q = p^lam1; a type for
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -95,76 +101,90 @@ class QmodZ:
 
 @dataclass(frozen=True)
 class PairingGram:
-    """Symmetric matrix of Q/Z values on the canonical generators of a group."""
+    """A symmetric pairing on a group, stored as one integer block per prime.
+
+    blocks[k] belongs to the k-th prime p of group.types, of type lam: entry
+    (a, b) is the pairing of the a-th and b-th generators of the p-part
+    times p^lam1, reduced mod p^lam1.  Generators of two primes pair to 0,
+    so those entries are not stored.  The `entry`, `gram` and `evaluate`
+    views give Q/Z values over all generators.
+    """
 
     group: FinAbGroup
-    gram: tuple[tuple[QmodZ, ...], ...]
+    blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        r = self.group.rank
-        if len(self.gram) != r or any(len(row) != r for row in self.gram):
-            raise ValueError("gram shape does not match group rank")
-        orders = self.group.generator_orders
-        for i in range(r):
-            for j in range(r):
-                if self.gram[i][j] != self.gram[j][i]:
+        if len(self.blocks) != len(self.group.types):
+            raise ValueError("need one gram block per prime of the group")
+        for (p, lam), blk in zip(self.group.types, self.blocks):
+            if len(blk) != len(lam) or any(len(row) != len(lam) for row in blk):
+                raise ValueError(f"gram block at p={p} must be {len(lam)} x {len(lam)}")
+            for (i, a), (j, b) in itertools.product(enumerate(lam), repeat=2):
+                x = blk[i][j]
+                if x != blk[j][i]:
                     raise ValueError("gram must be symmetric")
-                if gcd(orders[i], orders[j]) % self.gram[i][j].denominator:
-                    raise ValueError(
-                        f"entry ({i},{j}) denominator incompatible with generator orders"
-                    )
+                q, step = p ** lam[0], p ** (lam[0] - min(a, b))
+                if not (isinstance(x, int) and 0 <= x < q and x % step == 0):
+                    raise ValueError(f"entry ({i},{j}) at p={p} incompatible with generator orders")
 
     @staticmethod
     def from_fractions(group: FinAbGroup, rows) -> "PairingGram":
-        return PairingGram(
-            group, tuple(tuple(QmodZ(Fraction(x)) for x in row) for row in rows)
-        )
+        """The pairing with this Gram over all generators (rationals mod Z)."""
+        vals = [[Fraction(x) for x in row] for row in rows]
+        places = _places(group)
+        if len(vals) != len(places) or any(len(row) != len(places) for row in vals):
+            raise ValueError("gram shape does not match group rank")
+        tops = [p ** lam[0] for p, lam in group.types]
+        for (k, _), row in zip(places, vals):
+            for (l, _), x in zip(places, row):
+                if (x * tops[k] if k == l else x).denominator != 1:
+                    raise ValueError(f"entry {x} incompatible with generator orders")
+        spans = [(p, q, group.generator_indices(p)) for (p, _), q in zip(group.types, tops)]
+        scaled = {p: [[vals[i][j] * q for j in idx] for i in idx] for p, q, idx in spans}
+        return gram_from_scaled_blocks(group, scaled)
+
+    def _pairs(self) -> list[list[tuple[int, int]]]:
+        """Each entry over all generators as (n, q), value n/q, row by row."""
+        places = _places(self.group)
+        tops = [p ** lam[0] for p, lam in self.group.types]
+        return [
+            [(self.blocks[k][a][b], tops[k]) if k == l else (0, 1) for l, b in places]
+            for k, a in places
+        ]
+
+    @property
+    def gram(self) -> tuple[tuple[QmodZ, ...], ...]:
+        return tuple(tuple(QmodZ.of(n, q) for n, q in row) for row in self._pairs())
 
     def entry(self, i: int, j: int) -> QmodZ:
-        return self.gram[i][j]
+        return QmodZ.of(*self._pairs()[i][j])
 
     def text(self) -> str:
-        return ",".join(str(x) for row in self.gram for x in row)
+        """Row-major entries over all generators as reduced num/den."""
+        return ",".join(
+            f"{n // gcd(n, q)}/{q // gcd(n, q)}" for row in self._pairs() for n, q in row
+        )
 
     def scaled_block(self, p: int) -> tuple[tuple[int, ...], ...]:
         """The p-block as integers mod p^lam1 (common denominator p^lam1)."""
-        lam = self.group.partition(p)
-        if not lam:
-            return ()
-        q = p ** lam[0]
-        idx = list(self.group.generator_indices(p))
-        out = []
-        for i in idx:
-            row = []
-            for j in idx:
-                val = self.gram[i][j].value
-                row.append(int(val * q) % q)
-            out.append(tuple(row))
-        return tuple(out)
+        return dict(zip(self.group.primes, self.blocks)).get(p, ())
 
     def evaluate(self, x_coords, y_coords) -> QmodZ:
-        total = Fraction(0)
-        for i, a in enumerate(x_coords):
-            if not a:
-                continue
-            for j, b in enumerate(y_coords):
-                if b:
-                    total += a * b * self.gram[i][j].value
-        return QmodZ(total)
+        rows = zip(x_coords, self._pairs())
+        terms = (Fraction(x * y * n, q) for x, row in rows for y, (n, q) in zip(y_coords, row))
+        return QmodZ(sum(terms))
+
+
+def _places(group: FinAbGroup) -> list[tuple[int, int]]:
+    """(position of its prime in group.types, index in that block) per generator."""
+    return [(k, a) for k, (_, lam) in enumerate(group.types) for a in range(len(lam))]
 
 
 def gram_from_scaled_blocks(group: FinAbGroup, blocks: dict[int, tuple]) -> PairingGram:
-    """Assemble a PairingGram from per-prime integer blocks mod p^lam1."""
-    r = group.rank
-    rows = [[Fraction(0)] * r for _ in range(r)]
-    for p, lam in group.types:
-        q = p ** lam[0]
-        idx = list(group.generator_indices(p))
-        blk = blocks[p]
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                rows[i][j] = Fraction(int(blk[a][b]) % q, q)
-    return PairingGram.from_fractions(group, rows)
+    """The pairing with these per-prime scaled blocks, entries taken mod p^lam1."""
+    tops = {p: p ** lam[0] for p, lam in group.types}
+    reduced = (tuple(tuple(int(x) % q for x in row) for row in blocks[p]) for p, q in tops.items())
+    return PairingGram(group, tuple(reduced))
 
 
 @dataclass(frozen=True)
@@ -183,8 +203,8 @@ class PairedGroup:
         """Whether G -> dual(G) is bijective, computed on first access; each
         block is a batch of one of Python ints, so no entry can wrap."""
         return all(
-            _perfect_mask(p, lam, np.array([self.pairing.scaled_block(p)], dtype=object))[0]
-            for p, lam in self.group.types
+            _perfect_mask(p, lam, np.array([blk], dtype=object))[0]
+            for (p, lam), blk in zip(self.group.types, self.pairing.blocks)
         )
 
     def text(self) -> str:
@@ -436,9 +456,7 @@ def blocks_pair_class(
 
 def canonical_pair_class(pg: PairedGroup, budget: int = HOM_BUDGET) -> PairClassId:
     """Stable class id: per-prime lexicographically minimal Gram over Aut(G)."""
-    return blocks_pair_class(
-        pg.group, {p: pg.pairing.scaled_block(p) for p, _ in pg.group.types}, budget
-    )
+    return blocks_pair_class(pg.group, dict(zip(pg.group.primes, pg.pairing.blocks)), budget)
 
 
 def pair_isomorphic(a: PairedGroup, b: PairedGroup, budget: int = HOM_BUDGET) -> bool:
@@ -451,8 +469,8 @@ def pair_isomorphic(a: PairedGroup, b: PairedGroup, budget: int = HOM_BUDGET) ->
 def aut_preserving_count(a: PairedGroup, budget: int = HOM_BUDGET) -> int:
     """|Aut(G, pairing)|: the product of the per-prime stabilizer sizes."""
     return prod(
-        _block_class(p, lam, a.pairing.scaled_block(p), budget)[2]
-        for p, lam in a.group.types
+        _block_class(p, lam, blk, budget)[2]
+        for (p, lam), blk in zip(a.group.types, a.pairing.blocks)
     )
 
 
@@ -475,11 +493,9 @@ def _snf_pairing(m: IntMatrix, side: str):
     else:
         vecs = {i: snf.u.row(i) for i in tor}
     mv = {j: m.mul_vec(vecs[j]) for j in tor}
-    raw = {}
-    for i in tor:
-        for j in tor:
-            num = sum(a * b for a, b in zip(vecs[i], mv[j]))
-            raw[(i, j)] = (num, d[i] * d[j])
+    raw = {
+        (i, j): Fraction(sum(map(mul, vecs[i], mv[j])), d[i] * d[j]) for i in tor for j in tor
+    }
 
     # split the SNF generators into canonical prime-power generators.  On the
     # group side the p-part generator is (d/p^e) * g.  On the dual side the
@@ -498,15 +514,8 @@ def _snf_pairing(m: IntMatrix, side: str):
             for p in {g[0] for g in gens}
         }
     )
-    rows = []
-    for pi, _, ti, ci in gens:
-        row = []
-        for pj, _, tj, cj in gens:
-            num, den = raw[(ti, tj)]
-            row.append(QmodZ.of(num * ci * cj, den))
-        rows.append(tuple(row))
-    gram = PairingGram(group, tuple(rows))
-    return group, free_rank, gram
+    rows = [[raw[ti, tj] * ci * cj for _, _, tj, cj in gens] for _, _, ti, ci in gens]
+    return group, free_rank, PairingGram.from_fractions(group, rows)
 
 
 def torsion_pairing(m: IntMatrix) -> tuple[FinAbGroup, int, PairingGram]:
@@ -550,37 +559,29 @@ def dual_cokernel_pairing_value(m: IntMatrix, x: RationalVector, y: RationalVect
 # pushforward along transposes
 
 
-def dual_basis_change(f: GroupHom) -> tuple[tuple[int, ...], ...]:
-    """Matrix of f^t on dual bases: row i gives the coefficients of
-    dual_target_i composed with f in the dual basis of the source."""
-    mat = f.matrix()
-    src_orders = f.source.generator_orders
-    tgt_orders = f.target.generator_orders
-    out = []
-    for i in range(f.target.rank):
-        row = []
-        for j in range(f.source.rank):
-            num = src_orders[j] * mat[i][j]
-            if num % tgt_orders[i]:
-                raise ValueError("hom matrix violates order compatibility")
-            row.append(num // tgt_orders[i])
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
-    """Push a pairing on dual(source) forward to dual(target) along f^t."""
-    if gram_on_dual_source.group != f.source:
+    """Push a pairing on dual(source) forward to dual(target) along f^t.
+
+    f^t sends the dual of target generator i to sum_a L_ia times the dual
+    of source generator a, L_ia = f_ia o_a / o_i for generator orders o
+    (exact, as f is a hom).  f keeps p-parts apart, so the pushed p-block
+    is L B L^T for the source p-block B, read mod the source's p^lam1 and
+    rescaled to the target's; that division is exact too, as the pushed
+    values have denominators dividing the target's orders.
+    """
+    src, tgt, mat = f.source, f.target, f.matrix()
+    if gram_on_dual_source.group != src:
         raise ValueError("gram must live on the dual of the source")
-    lift = dual_basis_change(f)
-    r = f.target.rank
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            row.append(gram_on_dual_source.evaluate(lift[i], lift[j]))
-        rows.append(tuple(row))
-    return PairingGram(f.target, tuple(rows))
+    so, to = src.generator_orders, tgt.generator_orders
+    blocks = []
+    for p, lam in tgt.types:
+        b = gram_on_dual_source.scaled_block(p)
+        qs, qt = p ** max(src.partition(p), default=0), p ** lam[0]
+        idx = src.generator_indices(p)
+        ls = [[mat[i][a] * so[a] // to[i] for a in idx] for i in tgt.generator_indices(p)]
+        lb = [[sum(map(mul, row, col)) for col in b] for row in ls]  # b is symmetric
+        blocks.append(tuple(tuple(sum(map(mul, u, w)) % qs * qt // qs for w in ls) for u in lb))
+    return PairingGram(tgt, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +645,12 @@ def parse_paired_group(text: str) -> PairedGroup:
 
 
 def restrict_to_sylow(a: PairedGroup, primes) -> PairedGroup:
-    """Keep only the generators at the named primes, with the Gram block.
+    """Keep only the generators at the named primes, with their blocks.
 
-    Cross-prime Gram entries vanish (coprime orders force denominator 1),
-    so the restriction is an honest pairing on the Sylow part.
+    Generators of two primes pair to 0, so the kept blocks are an honest
+    pairing on the Sylow part.
     """
     keep = set(primes)
     sub = a.group.sylow(keep)
-    idx = [
-        i
-        for p in sub.primes
-        for i in a.group.generator_indices(p)
-    ]
-    rows = tuple(tuple(a.pairing.gram[i][j] for j in idx) for i in idx)
-    return PairedGroup(sub, PairingGram(sub, rows))
+    blocks = tuple(blk for p, blk in zip(a.group.primes, a.pairing.blocks) if p in keep)
+    return PairedGroup(sub, PairingGram(sub, blocks))

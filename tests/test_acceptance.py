@@ -33,7 +33,6 @@ from cokpairs.moments import (
 )
 from cokpairs.pairings import (
     PairedGroup,
-    gram_from_scaled_blocks,
     pushforward,
     torsion_pairing,
 )
@@ -153,14 +152,6 @@ def _pairing_entry_via_random_lifts(m, torsion, rng, i, j):
 
 # -------------------------------------------------------------------------
 # criterion 2: oracle equivalence
-
-
-def _all_dual_grams(g):
-    from cokpairs.pairings import _enumerate_blocks
-
-    per_prime = [list(_enumerate_blocks(p, lam)) for p, lam in g.types]
-    for combo in itertools.product(*per_prime):
-        yield gram_from_scaled_blocks(g, {p: blk for (p, _), blk in zip(g.types, combo)})
 
 
 def _oracle_check_one(m, group, p, lift_seed):

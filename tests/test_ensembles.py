@@ -405,6 +405,18 @@ def test_malformed_arguments_raise():
         sylow_paired_group(rows, 3, 3, side="Group")
 
 
+def test_sylow_paired_group_rejects_asymmetric_matrix():
+    """An asymmetric matrix raises NotSymmetric, as in cokernel_pairing_class,
+    instead of giving Z/4 with pairing 1/2."""
+    from cokpairs.errors import NotSymmetric
+
+    rows = [[2, 1], [0, 2]]
+    with pytest.raises(NotSymmetric):
+        cokernel_pairing_class(rows, [2], {2: 4})
+    with pytest.raises(NotSymmetric):
+        sylow_paired_group(rows, 2, 4)
+
+
 def test_quotient_dual_pairing_matches_augmented_snf():
     """The mod-p^(2k) tensor quotient agrees with the exact augmented-matrix
     computation, as paired-group classes."""

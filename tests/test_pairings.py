@@ -244,6 +244,28 @@ def test_pushforward_examples():
     assert pushforward(identity_hom(g), base) == base
 
 
+def test_pushforward_matches_qz_definition():
+    """The integer pushforward equals its definition in Q/Z: entry (i, j) is
+    the source pairing evaluated on the coordinates of f^t(dual_i) and
+    f^t(dual_j), f^t(dual_i)_a = f_ia o_a / o_i.  Every hom between groups
+    of different exponents at p = 2, 3 and with two primes, on one Gram of
+    every class."""
+    from cokpairs.groups import enumerate_homs
+
+    pairs = [(G(4, 2), G(2, 2)), (G(2, 2), G(8, 2)), (G(8), G(4, 2)), (G(9), G(3, 3))]
+    pairs.append((G(12), G(6, 2)))
+    for a, b in pairs:
+        grams = [info.class_id.representative.pairing for info in pairing_class_table(a, False)]
+        so, to = a.generator_orders, b.generator_orders
+        for f in enumerate_homs(a, b):
+            mat = f.matrix()
+            lift = [[mat[i][k] * so[k] // to[i] for k in range(a.rank)] for i in range(b.rank)]
+            for delta in grams:
+                pushed = pushforward(f, delta)
+                want = [[delta.evaluate(x, y) for y in lift] for x in lift]
+                assert [list(row) for row in pushed.gram] == want, (a.text(), b.text(), mat)
+
+
 def test_pushforward_functorial():
     rng = random.Random(9)
     a, b, c = G(4, 2), G(2, 2), G(2)
@@ -402,6 +424,86 @@ def test_perfectness_matches_enumeration():
     g = G(2**70, 2)
     assert PairedGroup(g, gram(g, [[Fraction(1, 2**70), 0], [0, Fraction(1, 2)]])).perfect
     assert not PairedGroup(g, gram(g, [[Fraction(2, 2**70), 0], [0, Fraction(1, 2)]])).perfect
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: parse_paired_group("Z/4+Z/2|1/4,1/4,0/1,1/2"), id="asym-parse"),
+        pytest.param(
+            lambda: gram(G(4, 2), [[Fraction(1, 4), Fraction(1, 4)], [0, Fraction(1, 2)]]),
+            id="asym-fractions",
+        ),
+        pytest.param(lambda: PairingGram(G(4, 2), (((1, 1), (0, 2)),)), id="asym-blocks"),
+        pytest.param(
+            lambda: gram_from_scaled_blocks(G(4, 2), {2: ((1, 1), (0, 2))}), id="asym-scaled"
+        ),
+        pytest.param(lambda: parse_paired_group("Z/4+Z/2|1/4,0/1,1/2"), id="count-parse"),
+        pytest.param(lambda: gram(G(4, 2), [[Fraction(1, 4), 0], [0]]), id="count-fractions"),
+        pytest.param(lambda: PairingGram(G(2, 3), (((1,),),)), id="count-blocks"),
+        pytest.param(lambda: parse_paired_group("Z/4+Z/2|1/4,1/4,1/4,1/2"), id="den-parse"),
+        pytest.param(
+            lambda: gram(G(4, 2), [[Fraction(1, 4)] * 2, [Fraction(1, 4), Fraction(1, 2)]]),
+            id="den-fractions",
+        ),
+        pytest.param(lambda: PairingGram(G(4, 2), (((1, 1), (1, 2)),)), id="den-blocks"),
+        pytest.param(
+            lambda: gram_from_scaled_blocks(G(4, 2), {2: ((1, 1), (1, 2))}), id="den-scaled"
+        ),
+        pytest.param(lambda: PairingGram(G(4, 2), (((4, 0), (0, 2)),)), id="range-blocks"),
+        pytest.param(lambda: PairingGram(G(4, 2), (((1.0, 0), (0, 2)),)), id="float-blocks"),
+        pytest.param(lambda: parse_paired_group("Z/2+Z/3|1/2,1/6,1/6,1/3"), id="cross-parse"),
+        pytest.param(
+            lambda: gram(G(2, 3), [[Fraction(1, 2), Fraction(1, 6)], [Fraction(1, 6), 0]]),
+            id="cross-fractions",
+        ),
+        pytest.param(
+            lambda: gram_from_scaled_blocks(G(4, 2), {2: ((1, 0, 0), (0, 2, 0), (0, 0, 2))}),
+            id="shape-3x3-scaled",
+        ),
+        pytest.param(
+            lambda: gram_from_scaled_blocks(G(4, 2), {2: ((1,),)}), id="shape-1x1-scaled"
+        ),
+        pytest.param(lambda: PairingGram(G(4, 2), (((1,),),)), id="shape-1x1-blocks"),
+    ],
+)
+def test_bad_gram_is_rejected(build):
+    """Every way in refuses an asymmetric Gram, a wrong entry count, an
+    entry whose denominator exceeds the generator orders, a block entry out
+    of range or not an int, a non-zero entry between two primes and a
+    block of the wrong shape."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_trials_build_no_fraction(monkeypatch):
+    """Classified trials (ER(40, 1/2) at p = 2) and moment trials (uniform
+    mod 9 onto Z/3|1/3) give the same outputs when `pairings` cannot build
+    a Fraction: the trial path works on integer blocks only."""
+    from cokpairs import pairings
+    from cokpairs.ensembles import KIND_ER, KIND_UNIFORM, EnsembleSpec, default_cap
+    from cokpairs.experiments import _classify_trial, _moment_trial
+
+    er = EnsembleSpec(kind=KIND_ER, n=40, seed=21, q=0.5)
+    unif = EnsembleSpec(kind=KIND_UNIFORM, n=40, seed=22, modulus=9)
+    target = parse_paired_group("Z/3|1/3")
+    caps = {2: default_cap(2, 64)}
+
+    def outputs():
+        return (
+            [_classify_trial(er, [2], caps, t) for t in range(30)],
+            [_moment_trial(unif, target, t) for t in range(30)],
+        )
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built on the trial path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pairings, "Fraction", no_fraction)
+        fraction_free = outputs()
+    assert fraction_free == outputs()
+    classes, moments = fraction_free
+    assert len(set(classes)) > 3 and any(c for _, _, c in moments)
 
 
 def test_paired_group_text_roundtrip():
@@ -621,7 +723,15 @@ def test_odd_prime_perfect_class_counts_follow_wall():
     """At odd p a perfect pairing is fixed by the rank and the discriminant
     square class of each level (Wall's normal form), so a type with k
     distinct parts has 2^k perfect classes.  Checked on the 22 types at
-    p = 3, 5, 7 with 4096 < |End| <= 2 * 10^5, beyond the orbit scan."""
+    p = 3, 5, 7 with 4096 < |End| <= 2 * 10^5, beyond the orbit scan.
+
+    On (Z/p)^m the stabilizer of a perfect class is an orthogonal group
+    over F_q, q = p: |O(2k+1, q)| = 2 q^(k^2) prod_{i<=k} (q^(2i) - 1) for
+    both classes at m = 2k+1, and |O^+-(2k, q)| = 2 q^(k(k-1)) (q^k -+ 1)
+    prod_{i<k} (q^(2i) - 1) for the two classes at m = 2k.  Checked for
+    p = 3, 5, 7 with m <= 3 and for (Z/3)^4, at a raised budget."""
+    from math import prod
+
     from cokpairs.groups import hom_count
     from cokpairs.theory import groups_at_primes
 
@@ -633,6 +743,17 @@ def test_odd_prime_perfect_class_counts_follow_wall():
     for g in groups:
         ((_, lam),) = g.types
         assert len(pairing_class_table(g, perfect_only=True)) == 2 ** len(set(lam)), g.text()
+
+    def orthogonal(m, q):
+        k, odd = divmod(m, 2)
+        if odd:
+            return [2 * q ** (k * k) * prod(q ** (2 * i) - 1 for i in range(1, k + 1))] * 2
+        rest = 2 * q ** (k * (k - 1)) * prod(q ** (2 * i) - 1 for i in range(1, k))
+        return [rest * (q**k - 1), rest * (q**k + 1)]
+
+    for p, m in [(p, m) for p in (3, 5, 7) for m in (1, 2, 3)] + [(3, 4)]:
+        table = pairing_class_table(G(*[p] * m), perfect_only=True, budget=10**8)
+        assert sorted(info.aut_preserving for info in table) == orthogonal(m, p), (p, m)
 
 
 def test_cyclic_closed_form_matches_orbit_scan():
