@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
+from operator import mod
 
 from .arith import factorint
 from .errors import BudgetExceeded
@@ -21,7 +23,8 @@ HOM_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """Finite abelian group as ((p, (lam_1 >= lam_2 >= ...)), ...), primes ascending."""
+    """Finite abelian group as ((p, (lam_1 >= lam_2 >= ...)), ...), primes ascending.
+    Derived invariants are cached; ==, hash, repr and pickles see `types` alone."""
 
     types: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -34,6 +37,9 @@ class FinAbGroup:
                 raise ValueError("empty partition block; drop the prime instead")
             if any(a <= 0 for a in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
                 raise ValueError(f"partition must be weakly decreasing and positive: {lam}")
+
+    def __reduce__(self):
+        return FinAbGroup, (self.types,)
 
     @staticmethod
     def trivial() -> "FinAbGroup":
@@ -59,24 +65,24 @@ class FinAbGroup:
                 acc.setdefault(p, []).append(e)
         return FinAbGroup.from_prime_types({p: tuple(es) for p, es in acc.items()})
 
-    @property
+    @cached_property
     def generators(self) -> tuple[tuple[int, int], ...]:
         """Canonical generator list as (prime, exponent) pairs."""
         return tuple((p, e) for p, lam in self.types for e in lam)
 
-    @property
+    @cached_property
     def generator_orders(self) -> tuple[int, ...]:
         return tuple(p**e for p, e in self.generators)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(len(lam) for _, lam in self.types)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(p ** sum(lam) for p, lam in self.types)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return prod(p ** lam[0] for p, lam in self.types)
 
@@ -153,9 +159,15 @@ class GroupElement:
         orders = self.group.generator_orders
         if len(self.coords) != len(orders):
             raise ValueError("coordinate length does not match group rank")
-        object.__setattr__(
-            self, "coords", tuple(c % o for c, o in zip(self.coords, orders))
-        )
+        object.__setattr__(self, "coords", tuple(map(mod, self.coords, orders)))
+
+    @classmethod
+    def _trusted(cls, group: FinAbGroup, coords: tuple[int, ...]) -> "GroupElement":
+        """An element built without checks: coords must be a tuple of
+        group.rank entries, each already reduced mod its generator order."""
+        el = object.__new__(cls)
+        el.__dict__.update(group=group, coords=coords)
+        return el
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.group != other.group:

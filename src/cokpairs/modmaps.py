@@ -36,6 +36,14 @@ class ModuleMap:
         imgs = tuple(GroupElement(target, tuple(col)) for col in columns)
         return ModuleMap(modulus, len(imgs), target, imgs)
 
+    @classmethod
+    def _trusted(cls, modulus: int, target: FinAbGroup, images) -> "ModuleMap":
+        """A map built without checks: modulus must be a multiple of the
+        target's exponent and images a tuple of elements of target."""
+        f = object.__new__(cls)
+        f.__dict__.update(modulus=modulus, n=len(images), target=target, images=images)
+        return f
+
     def block(self, p: int) -> list[list[int]]:
         """p-part coordinate matrix, rows = target p-generators, cols = basis."""
         idx = list(self.target.generator_indices(p))

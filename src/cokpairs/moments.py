@@ -13,12 +13,14 @@ is checked by lifted_equation_check; all three must agree everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from . import rng
 from .ensembles import quotient_dual_pairing, symmetric_array
 from .errors import BudgetExceeded, NotALift, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p, enumerate_surjections
+from .groups import HOM_BUDGET, FinAbGroup, GroupElement, _rank_mod_p, enumerate_surjections
 from .intmat import IntMatrix
 from .modmaps import ModuleMap
 from .pairings import PairingGram, gram_from_scaled_blocks, pushforward
@@ -133,8 +135,6 @@ def count_sur_star_congruence(
         nums = dual_gram_numerators(target_group, target_dual_gram, p)
         key = tuple(nums[(i, j)] for i in range(len(lam)) for j in range(i, len(lam)))
         total *= tables[p].get(key, 0)
-    if not target_group.types:
-        return 1
     return total
 
 
@@ -142,6 +142,7 @@ def count_sur_star_congruence(
 # lifted equations
 
 
+@functools.lru_cache(maxsize=64)
 def lift_codomain(group: FinAbGroup) -> FinAbGroup:
     """The enlarged group with doubled top exponent: one generator of order
     p^(2*lam1) per generator of the p-block."""
@@ -153,72 +154,57 @@ def lift_codomain(group: FinAbGroup) -> FinAbGroup:
 def standard_lift(f: ModuleMap) -> ModuleMap:
     """The lift whose coefficients are the representatives of f's own."""
     big = lift_codomain(f.target)
-    cols = []
-    for j in range(f.n):
-        cols.append(tuple(f.images[j].coords))
-    return ModuleMap.from_matrix(f.target.exponent**2, big, cols)
+    return ModuleMap.from_matrix(f.target.exponent**2, big, [img.coords for img in f.images])
 
 
 def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
-    """A uniformly random lift of f to the enlarged group."""
+    """A uniformly random lift of f to the enlarged group, drawn image by
+    image, coordinate by coordinate."""
     big = lift_codomain(f.target)
-    s = rng.stream(seed)
-    orders = f.target.generator_orders
-    big_orders = big.generator_orders
-    cols = []
-    for j in range(f.n):
-        col = []
-        for i in range(f.target.rank):
-            step = orders[i]
-            col.append(f.images[j].coords[i] + step * s.below(big_orders[i] // step))
-        cols.append(tuple(col))
-    return ModuleMap.from_matrix(f.target.exponent**2, big, cols)
+    below = rng.stream(seed).below
+    steps = f.target.generator_orders
+    spans = [b // s for s, b in zip(steps, big.generator_orders)]
+    # c < s and each draw is below k, so every coordinate is already reduced
+    draws = ([c + s * below(k) for c, s, k in zip(img.coords, steps, spans)] for img in f.images)
+    images = tuple(GroupElement._trusted(big, tuple(col)) for col in draws)
+    return ModuleMap._trusted(f.target.exponent**2, big, images)
 
 
 def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):
     """Evaluate the lifted kernel equations; on success return the pairing
-    numerators the lifted quadratic form forces, else None.
+    numerators the lifted quadratic form forces, else None.  m must be the
+    symmetric n x n matrix of f's domain (else ValueError or NotSymmetric)
+    and lift a lift of f (else NotALift).
 
     The two diagonal scalings (by p^(2*lam1 - lam_i) and p^(lam1 - lam_i))
     fold into the congruences below.  The key is {p: {(i, j): a_ij}} with
     i <= j, matching the dual-Gram numerator convention.
     """
-    group = f.target
-    if lift.target != lift_codomain(group):
-        raise NotALift("lift has the wrong codomain")
-    n = f.n
-    for p, lam in group.types:
-        far = f.block(p)
-        big = lift.block(p)
-        for i, e in enumerate(lam):
-            pi = p**e
-            for j in range(n):
-                if (big[i][j] - far[i][j]) % pi:
-                    raise NotALift(f"lift disagrees with map mod {p}^{e}")
+    group, n, rows = f.target, f.n, m.data
+    if m.rows != n or m.cols != n:
+        raise ValueError(f"m is {m.rows} x {m.cols}, the map has {n} basis vectors")
+    if not m.is_symmetric():
+        raise NotSymmetric("lifted equations need a symmetric matrix")
+    if lift.target != lift_codomain(group) or lift.n != n:
+        raise NotALift("lift has the wrong domain or codomain")
+    orders = group.generator_orders
+    reduced = [tuple(map(operator.mod, a.coords, orders)) for a in lift.images]
+    if reduced != [b.coords for b in f.images]:
+        raise NotALift("lift disagrees with the map modulo the target's orders")
     key = {}
     for p, lam in group.types:
-        r = len(lam)
-        lam1 = lam[0]
+        r, lam1 = len(lam), lam[0]
         mod = p ** (2 * lam1)
-        mm = [[x % mod for x in row] for row in m.data]
         big = lift.block(p)
-        fm = [
-            [sum(big[i][k] * mm[k][l] for k in range(n)) % mod for l in range(n)]
-            for i in range(r)
-        ]
-        for i in range(r):
-            scale = p ** (2 * lam1 - lam[i])
-            for l in range(n):
-                if scale * fm[i][l] % mod:
-                    return None
+        # row l of the symmetric m is its column l
+        fm = [[sum(map(operator.mul, row, m_row)) % mod for m_row in rows] for row in big]
         nums = {}
-        for i in range(r):
+        for i, e in enumerate(lam):
+            scale = p ** (2 * lam1 - e)
+            if any(scale * x % mod for x in fm[i]):
+                return None
             for j in range(i, r):
-                lhs = (
-                    p ** (2 * lam1 - lam[i] - lam[j])
-                    * sum(fm[i][l] * big[j][l] for l in range(n))
-                    % mod
-                )
+                lhs = p ** (2 * lam1 - e - lam[j]) * sum(map(operator.mul, fm[i], big[j])) % mod
                 # the kernel equations force divisibility by p^(2*lam1 - lam_j)
                 step = p ** (2 * lam1 - lam[j])
                 if lhs % step:

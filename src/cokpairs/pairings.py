@@ -87,14 +87,6 @@ class QmodZ:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
     def __str__(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
 

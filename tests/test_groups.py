@@ -1,6 +1,7 @@
 """Finite abelian groups: enumeration counts, formulas, text forms."""
 
 import itertools
+import pickle
 import random
 from math import gcd, prod
 
@@ -204,6 +205,19 @@ def test_text_roundtrip_and_normalization():
     assert parse_group(g.text()) == g
     assert parse_group("Z/6").text() == "Z/2+Z/3"
     assert parse_group("1") == FinAbGroup.trivial()
+
+
+def test_cached_invariants_leak_nowhere():
+    """Reading the cached invariants changes no comparison, hash, repr or
+    pickle of a group."""
+    for orders in [(), (2,), (4, 2, 3), (9, 3, 3, 5)]:
+        used, fresh = G(*orders), G(*orders)
+        values = (used.generators, used.generator_orders, used.rank, used.order, used.exponent)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert (back.generators, back.generator_orders, back.rank, back.order, back.exponent) == values
 
 
 def test_element_arithmetic():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cokpairs.ensembles import EnsembleSpec, KIND_ER, KIND_UNIFORM
-from cokpairs.errors import NotALift
+from cokpairs.errors import NotALift, NotSymmetric
 from cokpairs.experiments import ExperimentConfig, run_moment
 from cokpairs.groups import FinAbGroup, enumerate_surjections
 from cokpairs.intmat import IntMatrix
@@ -177,6 +177,63 @@ def test_lift_independence():
             for _ in range(10)
         }
         assert len(keys) == 1
+
+
+def test_lean_lift_matches_reference():
+    """random_lift and lifted_pairing_key against the scalar reference in
+    lift_oracle, on every map (Z/a)^n -> G with n <= 3: the same lift for the
+    same seed, the same key (and key text), NotALift on the same bad lifts,
+    and a lift from the unchecked constructors equal to the checked one."""
+    import lift_oracle
+
+    rng = random.Random(14)
+    targets = [G(2), G(2, 2), G(2, 2, 2), G(3), G(3, 3), G(4, 2), G(9), G(2, 3)]
+    seen_none = seen_key = 0
+    for g in targets:
+        a = g.exponent**2
+        big_orders = lift_codomain(g).generator_orders
+        for n in range(1, 4):
+            m0 = [[rng.randrange(-3 * a, 3 * a) for _ in range(n)] for _ in range(n)]
+            sym = [[m0[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            # the second matrix is 0 mod exp(G), so every map meets the kernel equations
+            for m in (IntMatrix.from_rows(sym), IntMatrix.from_rows([[g.exponent * x for x in r] for r in sym])):
+                maps = itertools.product(itertools.product(*[range(o) for o in g.generator_orders]), repeat=n)
+                for cols in maps:
+                    f = ModuleMap.from_matrix(a, g, list(cols))
+                    seed = rng.getrandbits(64)
+                    lift, ref = random_lift(f, seed), lift_oracle.random_lift(f, seed)
+                    assert [x.coords for x in lift.images] == [x.coords for x in ref.images]
+                    checked = ModuleMap.from_matrix(lift.modulus, lift.target, [x.coords for x in lift.images])
+                    assert lift == checked == ref and hash(lift) == hash(checked)
+                    key = lifted_pairing_key(m, f, lift)
+                    assert key == lift_oracle.lifted_pairing_key(m, f, ref)
+                    assert str(key) == str(lift_oracle.lifted_pairing_key(m, f, ref))
+                    seen_none += key is None
+                    seen_key += key is not None
+                    j, i = rng.randrange(n), rng.randrange(g.rank)
+                    bad_cols = [list(x.coords) for x in ref.images]
+                    bad_cols[j][i] = (bad_cols[j][i] + 1) % big_orders[i]
+                    bad = ModuleMap.from_matrix(a, ref.target, bad_cols)
+                    for route in (lifted_pairing_key, lift_oracle.lifted_pairing_key):
+                        with pytest.raises(NotALift):
+                            route(m, f, bad)
+                        with pytest.raises(NotALift):
+                            route(m, f, f)
+    assert seen_none and seen_key
+
+
+def test_lifted_key_rejects_bad_matrices():
+    """A matrix of the wrong shape, or an asymmetric one, is refused rather
+    than read in part."""
+    z2 = G(2)
+    f = ModuleMap.from_matrix(4, z2, [(1,), (1,)])
+    lift = standard_lift(f)
+    for rows in ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0]], [[0, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError):
+            lifted_pairing_key(IntMatrix.from_rows(rows), f, lift)
+    with pytest.raises(NotSymmetric):
+        lifted_pairing_key(IntMatrix.from_rows([[0, 2], [0, 0]]), f, lift)
+    assert lifted_pairing_key(IntMatrix.from_rows([[0, 2], [2, 0]]), f, lift) == {2: {(0, 0): 0}}
 
 
 def test_pairing_partition():
