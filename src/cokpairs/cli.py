@@ -20,6 +20,7 @@ from .ensembles import (
     sample_graph,
     sample_symmetric,
 )
+from .errors import BudgetExceeded
 from .experiments import (
     ExperimentConfig,
     emit_plot_data,
@@ -115,7 +116,11 @@ def cmd_classify(args) -> int:
         free_rank = args.free_rank
     primes = tuple(int(p) for p in args.primes.split(","))
     caps = {p: default_cap(p, args.order_bound) for p in primes}
-    res = cokernel_pairing_class(m, primes, caps, free_rank)
+    try:
+        res = cokernel_pairing_class(m, primes, caps, free_rank)
+    except BudgetExceeded as e:
+        print(f"budget_exceeded: {e}")
+        return 1
     if isinstance(res, CapExceeded):
         print(f"cap_exceeded p={res.prime}: {res.detail}")
         return 1

@@ -13,6 +13,13 @@ u m u^T (the exact Smith path in `pairings` keeps v, as the oracle).  It
 runs on numpy int64 residue arrays while n * p^(2K) < 2^62 (K = 2k, n the
 matrix size), which bounds every product and dot product it forms; beyond
 that the same code runs on object arrays of Python ints.
+
+At p = 2 one GF(2) elimination on bitsets runs first.  When m has rank
+n - f mod 2 (f the free rank) and f kernel vectors mod 2 kill m mod 2^(2k),
+the 2-part is trivial without the reduction: the kernel would take n - f
+unit pivots, and those f vectors, independent mod 2, force the remaining
+f x f block to zero mod 2^(2k).  A tensor quotient whose presentation has
+full rank mod 2 is trivial the same way.  Odd p always takes the reduction.
 """
 
 from __future__ import annotations
@@ -66,51 +73,76 @@ def _residues(rows, shape, mod):
     return (a % mod).astype(np.int64, copy=False)  # object entries: residues fit
 
 
+def _rem(x, p, e):
+    """x mod p^e, elementwise.  At p = 2 a bit mask: the same residue, also for
+    negative entries and Python ints, and several times faster on int64."""
+    return x & (2**e - 1) if p == 2 else x % p**e
+
+
 def _least_valuation(block, p, big_k):
     """(e, i, j): the first row-major entry of least p-adic valuation e in
     block (residues mod p^big_k), or None when the block is zero."""
     for e in range(big_k):
-        hits = block % p ** (e + 1) != 0
-        if hits.any():
-            i, j = divmod(int(hits.argmax()), block.shape[1])
-            return e, i, j
+        hits = _rem(block, p, e + 1) != 0
+        k = int(hits.argmax())
+        if hits.flat[k]:
+            return (e, *divmod(k, block.shape[1]))
     return None
 
 
 def _padic_snf(a, p, big_k):
-    """Reduce the residue array a (mod p^big_k, from _residues) in place.
+    """Reduce the residue array a (mod p^big_k, from _residues); a is kept.
 
     Returns (exponents, u): u a v = diag(p^e) mod p^big_k for the unimodular
     row transform u and a column transform v that is never formed;
     exponents only for pivots resolved below big_k, ascending.  The remaining
-    rows of u a are zero mod p^big_k.  Left of the pivot column the active
-    rows are already zero, so row updates touch only the active columns;
-    pivot rows are never read again, so a is left as scratch.
+    rows of u a are zero mod p^big_k.  a and u are reduced side by side as
+    one array [a | u], so each row operation is one numpy call.  Left of the
+    pivot column the active rows are already zero, so row updates touch only
+    the active columns; pivot rows are never read again.
     """
     nrows, ncols = a.shape
     mod = p**big_k
-    u = np.eye(nrows, dtype=a.dtype)
+    au = np.hstack([a, np.eye(nrows, dtype=a.dtype)])
     exps = []
     for t in range(min(nrows, ncols)):
-        pivot = _least_valuation(a[t:, t:], p, big_k)
+        pivot = _least_valuation(au[t:, t:ncols], p, big_k)
         if pivot is None:
             break
         e, i, j = pivot
         if i:
-            a[[t, t + i]] = a[[t + i, t]]
-            u[[t, t + i]] = u[[t + i, t]]
+            au[t], au[t + i] = au[t + i], au[t].copy()
         if j:
-            a[:, [t, t + j]] = a[:, [t + j, t]]
+            au[t:, t], au[t:, t + j] = au[t:, t + j], au[t:, t].copy()
         pk = p**e
-        inv = pow(int(a[t, t]) // pk, -1, mod)
+        inv = pow(int(au[t, t]) // pk, -1, mod)
         if inv != 1:
-            a[t, t:] = a[t, t:] * inv % mod
-            u[t] = u[t] * inv % mod
-        q = a[t + 1 :, t] // pk
-        a[t + 1 :, t:] = (a[t + 1 :, t:] - np.outer(q, a[t, t:])) % mod
-        u[t + 1 :] = (u[t + 1 :] - np.outer(q, u[t])) % mod
+            au[t, t:] = _rem(au[t, t:] * inv, p, big_k)
+        q = au[t + 1 :, t, None] // pk if e else au[t + 1 :, t, None]  # read before written
+        au[t + 1 :, t:] = _rem(au[t + 1 :, t:] - q * au[t, t:], p, big_k)
         exps.append(e)
-    return exps, u
+    return exps, au[:, ncols:]
+
+
+def _left_kernel_mod_2(m):
+    """A basis of the left kernel of m mod 2: the rows y, independent mod 2,
+    of a 0/1 array of m's dtype with y m = 0 mod 2.  Row i is the bitset of
+    its parities | 1 << (w + i), reduced on its lowest set bit against the
+    pivots so far; each XOR clears that bit, so a row takes at most w steps,
+    and a row whose low w bits clear holds a kernel vector in its high bits.
+    """
+    h, w = m.shape
+    packed = np.packbits(_rem(m, 2, 1).astype(np.uint8), axis=1, bitorder="little")
+    pivots, kernel = {}, []
+    for i, row in enumerate(packed):
+        r = int.from_bytes(row.tobytes(), "little") | 1 << (w + i)
+        while (low := r & -r) in pivots:
+            r ^= pivots[low]
+        if low >> w:
+            kernel.append([r >> (w + c) & 1 for c in range(h)])
+        else:
+            pivots[low] = r
+    return np.array(kernel, dtype=m.dtype).reshape(len(kernel), h)
 
 
 def _dual_block(u, exps, sym, p, mod):
@@ -145,7 +177,12 @@ def _sylow_block(a, p, cap, free_rank):
     big_k = 2 * cap
     mod = p**big_k
     m = _residues(a, (n, n), mod)
-    exps, u = _padic_snf(m.copy(), p, big_k)
+    if p == 2:
+        # the exact trivial-2-part exit (module docstring); residues cannot wrap
+        y = _left_kernel_mod_2(m)
+        if len(y) == free_rank and not (y @ m % mod).any():
+            return None, None
+    exps, u = _padic_snf(m, p, big_k)
     unresolved = n - len(exps)
     if unresolved > free_rank:
         return CapExceeded(p, f"{unresolved} unresolved invariants beyond known free rank {free_rank}")
@@ -201,7 +238,10 @@ def quotient_dual_pairing(pres_rows, sym_rows, p, k):
     w = len(pres_rows[0]) if h else 0
     big_k = 2 * k
     mod = p**big_k
-    exps, u = _padic_snf(_residues(pres_rows, (h, w), mod), p, big_k)
+    pres = _residues(pres_rows, (h, w), mod)
+    if p == 2 and not len(_left_kernel_mod_2(pres)):
+        return None, None  # full rank mod 2: every exponent is 0
+    exps, u = _padic_snf(pres, p, big_k)
     mus = [min(e, k) for e in exps] + [k] * (h - len(exps))
     return _dual_block(u, mus, _residues(sym_rows, (h, h), mod), p, mod)
 

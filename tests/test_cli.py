@@ -47,6 +47,16 @@ def test_classify_matrix(capsys):
     assert out.splitlines()[0] == "Z/3|2/3"
 
 
+def test_classify_reports_a_group_over_the_budget(capsys):
+    # |End| = p^4 of (Z/p)^2 is over the budget; this used to exit with a traceback
+    p = "2147483647"
+    code, out = run_cli(
+        capsys, "classify", "--matrix", f"{p} 0; 0 {p}", "--primes", p, "--order-bound", str(10**19)
+    )
+    assert code == 1
+    assert out.startswith("budget_exceeded: |End| = ") and len(out.splitlines()) == 1
+
+
 def test_constants(capsys):
     code, out = run_cli(capsys, "constants", "--primes", "2", "--truncation", "20")
     assert code == 0

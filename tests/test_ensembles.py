@@ -1,5 +1,6 @@
 """Ensemble sampling, balance certificates, and the fast classifier."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +16,11 @@ from cokpairs.ensembles import (
     KIND_ALPHA,
     KIND_ER,
     KIND_UNIFORM,
+    _as_array,
+    _dual_block,
     _padic_snf,
     _residues,
+    _sylow_block,
     cokernel_pairing_class,
     default_cap,
     quotient_dual_pairing,
@@ -25,7 +29,7 @@ from cokpairs.ensembles import (
     sylow_paired_group,
 )
 from cokpairs.errors import BudgetExceeded, UnbalancedDistribution
-from cokpairs.graphs import ERParams, complete_graph, laplacian
+from cokpairs.graphs import ERParams, complete_graph, connected_components, laplacian
 from cokpairs.groups import FinAbGroup
 from cokpairs.intmat import IntMatrix
 from cokpairs.pairings import (
@@ -354,10 +358,11 @@ def test_fast_classifier_matches_exact_dual_side():
 
 @st.composite
 def _sylow_case(draw):
-    """(p, M) with p in {5, 7} and M symmetric, n <= 5, its entries up to
+    """(p, M) with p in {2, 5, 7} and M symmetric, n <= 5, its entries up to
     10^6 in size or small multiples of p^k, with up to two zero rows and
-    columns (free rank > 0) in random places."""
-    p = draw(st.sampled_from([5, 7]))
+    columns (free rank > 0) in random places.  At p = 2 the trivial-2-part
+    exit runs before the reduction."""
+    p = draw(st.sampled_from([2, 5, 7]))
     n = draw(st.integers(1, 5))
     zero = draw(st.integers(0, min(2, n)))
     multiple = st.builds(lambda c, k: c * p**k, st.integers(-4, 4), st.integers(1, 4))
@@ -462,6 +467,102 @@ def test_quotient_dual_pairing_matches_augmented_snf():
             assert (
                 canonical_pair_class(exact_pg).text == canonical_pair_class(fast_pg).text
             )
+
+
+def _kernel_only_block(a, p, cap, free_rank):
+    """_sylow_block without the trivial-2-part exit: the p-adic kernel, the
+    unresolved and cap checks, then _dual_block."""
+    n = len(a)
+    mod = p ** (2 * cap)
+    m = _residues(a, (n, n), mod)
+    exps, u = _padic_snf(m, p, 2 * cap)
+    unresolved = n - len(exps)
+    if unresolved > free_rank:
+        return CapExceeded(p, f"{unresolved} unresolved invariants beyond known free rank {free_rank}")
+    over = [e for e in exps if e >= cap]
+    if over:
+        return CapExceeded(p, f"resolved exponent {max(over)} reaches cap {cap}")
+    return _dual_block(u, exps, m, p, mod)
+
+
+def _kernel_only_quotient(pres, sym, p, k):
+    """quotient_dual_pairing without the full-rank-mod-2 exit."""
+    h, w = len(pres), len(pres[0]) if len(pres) else 0
+    mod = p ** (2 * k)
+    exps, u = _padic_snf(_residues(pres, (h, w), mod), p, 2 * k)
+    mus = [min(e, k) for e in exps] + [k] * (h - len(exps))
+    return _dual_block(u, mus, _residues(sym, (h, h), mod), p, mod)
+
+
+def _symmetric(n, entries):
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(((i, j) for i in range(n) for j in range(i, n)), entries):
+        rows[i][j] = rows[j][i] = x
+    return rows
+
+
+def _exit_inputs():
+    """(rows, free ranks) for the exit oracle: exhaustive small matrices,
+    ER(40) Laplacians with one or more components, uniform and
+    alpha-balanced draws, entries near 2^62 and beyond int64."""
+    for n, values in ((1, (-2, -1, 0, 1, 2, 3, 4, 8)), (2, (-2, -1, 0, 1, 2, 3, 4, 8)), (3, (0, 1, 2))):
+        for entries in itertools.product(values, repeat=n * (n + 1) // 2):
+            yield _symmetric(n, entries), range(n + 1)
+    for q in (0.5, 0.06):
+        spec = EnsembleSpec(kind=KIND_ER, n=40, seed=53, q=q)
+        for t in range(15):
+            g = sample_graph(spec, t)
+            yield [list(r) for r in laplacian(g).data], (connected_components(g),)
+    dist = EntryDistribution((0, 1, 2), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    specs = (
+        EnsembleSpec(kind=KIND_UNIFORM, n=6, seed=54, modulus=2),
+        EnsembleSpec(kind=KIND_UNIFORM, n=9, seed=55, modulus=8),
+        EnsembleSpec(kind=KIND_ALPHA, n=7, seed=56, modulus=2, entry_dist=dist, alpha=Fraction(1, 4)),
+    )
+    for spec in specs:
+        for t in range(40):
+            yield [list(r) for r in sample_symmetric(spec, t).data], (0, 1, 2)
+    rng = random.Random(57)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        big = rng.choice((2**62, 2**63 - 1, 2**70 + 1))
+        entries = [rng.choice((0, 1, -1, 2)) * big + rng.randint(-2, 2) for _ in range(n * (n + 1) // 2)]
+        yield _symmetric(n, entries), range(n + 1)
+
+
+def test_trivial_2_part_exit_matches_the_kernel():
+    """_sylow_block and quotient_dual_pairing, whose p = 2 exits skip the
+    kernel, against the kernel alone: equal (lam, block), (None, None) or
+    CapExceeded on every input, including overstated free ranks."""
+    fired = 0
+    for rows, free_ranks in _exit_inputs():
+        a = _as_array(rows, (len(rows), len(rows)))
+        for free_rank in free_ranks:
+            for cap in (1, 3):
+                res = _sylow_block(a, 2, cap, free_rank)
+                assert res == _kernel_only_block(a, 2, cap, free_rank), (rows, free_rank, cap)
+                fired += res == (None, None)
+        for pres, sym in ((rows, rows), (rows[:-1], [r[:-1] for r in rows[:-1]])):
+            for k in (1, 2):
+                res = quotient_dual_pairing(pres, sym, 2, k)
+                assert res == _kernel_only_quotient(pres, sym, 2, k), (pres, sym, k)
+    assert fired > 1000
+
+
+def test_trivial_2_part_exit_traps(capsys):
+    """The exit fires only when it can prove a trivial 2-part.  An overstated
+    free rank with corank 2 mod 2 still gives Z/2, and a matrix whose row
+    sums are 2^64 (zero once wrapped in int64) still reaches the cap."""
+    from cokpairs.cli import main
+
+    assert cokernel_pairing_class([[2, 0], [0, 0]], [2], {2: 8}, free_rank=2).text == "Z/2|1/2"
+    top = 2**63
+    wrap = _as_array([[top - 1, top - 1, 2], [top - 1, 0, 1 - top], [2, 1 - top, top - 3]], (3, 3))
+    assert wrap.dtype == np.int64
+    for cap in (33, 40):
+        assert _sylow_block(wrap, 2, cap, 1) == CapExceeded(2, f"resolved exponent 64 reaches cap {cap}")
+    assert main(["classify", "--matrix", "2 0; 0 0", "--free-rank", "2", "--primes", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Z/2|1/2"
 
 
 def test_spec_serialization_roundtrip():
