@@ -20,7 +20,7 @@ from .ensembles import (
     sample_graph,
     sample_symmetric,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotSymmetric
 from .experiments import (
     ExperimentConfig,
     emit_plot_data,
@@ -106,14 +106,21 @@ def cmd_sample(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.graph:
-        g = parse_graph(args.graph)
-        m = laplacian(g)
-        free_rank = connected_components(g)
-    else:
-        text = args.matrix if args.matrix else sys.stdin.read()
-        m = parse_matrix(text)
-        free_rank = args.free_rank
+    try:
+        if args.graph:
+            g = parse_graph(args.graph)
+            m = laplacian(g)
+            free_rank = connected_components(g)
+        else:
+            text = args.matrix if args.matrix else sys.stdin.read()
+            m = parse_matrix(text)
+            free_rank = args.free_rank
+        if not m.is_symmetric():
+            raise NotSymmetric("the matrix is not symmetric")
+    except ValueError as e:
+        # a malformed matrix or graph is a bad argument: one line, exit code 2
+        sys.stderr.write(f"cokpairs classify: error: {e}\n")
+        raise SystemExit(2) from None
     primes = tuple(int(p) for p in args.primes.split(","))
     caps = {p: default_cap(p, args.order_bound) for p in primes}
     try:

@@ -38,9 +38,6 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, frozenset((min(a, b), max(a, b)) for a, b in edges))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def text(self) -> str:
         edges = ",".join(f"{a}-{b}" for a, b in sorted(self.edges))
         return f"{self.n}|{edges}"

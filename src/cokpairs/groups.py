@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import mod
+from operator import mod, mul
 
 from .arith import factorint
 from .errors import BudgetExceeded
@@ -121,9 +121,6 @@ class FinAbGroup:
             acc.setdefault(p, []).extend(lam)
         return FinAbGroup.from_prime_types({p: tuple(v) for p, v in acc.items()})
 
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, tuple(coords))
 
@@ -161,14 +158,6 @@ class GroupElement:
             raise ValueError("coordinate length does not match group rank")
         object.__setattr__(self, "coords", tuple(map(mod, self.coords, orders)))
 
-    @classmethod
-    def _trusted(cls, group: FinAbGroup, coords: tuple[int, ...]) -> "GroupElement":
-        """An element built without checks: coords must be a tuple of
-        group.rank entries, each already reduced mod its generator order."""
-        el = object.__new__(cls)
-        el.__dict__.update(group=group, coords=coords)
-        return el
-
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.group != other.group:
             raise ValueError("elements of different groups")
@@ -195,44 +184,49 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """Homomorphism given by images of the source's canonical generators."""
+    """Homomorphism stored as its coordinate columns: column a holds the
+    target coordinates of the image of source generator a, each reduced
+    mod its target generator order."""
 
     source: FinAbGroup
     target: FinAbGroup
-    images: tuple[GroupElement, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.images) != self.source.rank:
-            raise ValueError("need one image per source generator")
-        for img, o in zip(self.images, self.source.generator_orders):
-            if img.group != self.target:
-                raise ValueError("image lies in the wrong group")
-            if not img.scale(o).is_zero():
+        orders = self.target.generator_orders
+        if len(self.columns) != self.source.rank:
+            raise ValueError("need one column per source generator")
+        for col, o in zip(self.columns, self.source.generator_orders):
+            if len(col) != len(orders):
+                raise ValueError("column length does not match the target's rank")
+            if any(c * o % t for c, t in zip(col, orders)):
                 raise ValueError("not a well-defined homomorphism")
+        object.__setattr__(self, "columns", tuple(tuple(map(mod, c, orders)) for c in self.columns))
+
+    @property
+    def images(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.target, c) for c in self.columns)
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Rows indexed by target generators, columns by source generators."""
-        return tuple(
-            tuple(img.coords[i] for img in self.images) for i in range(self.target.rank)
-        )
+        return tuple(tuple(c[i] for c in self.columns) for i in range(self.target.rank))
+
+    def _image(self, coords) -> tuple[int, ...]:
+        return tuple(sum(map(mul, coords, row)) for row in self.matrix())
 
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise ValueError("element of the wrong group")
-        out = self.target.zero()
-        for c, img in zip(x.coords, self.images):
-            if c:
-                out = out + img.scale(c)
-        return out
+        return GroupElement(self.target, self._image(x.coords))
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner; inner maps into self.source."""
         if inner.target != self.source:
             raise ValueError("homs do not compose")
-        return GroupHom(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
+        return GroupHom(inner.source, self.target, tuple(map(self._image, inner.columns)))
 
     def is_surjective(self) -> bool:
-        return _onto(self.target, [img.coords for img in self.images])
+        return _onto(self.target, self.columns)
 
     def is_automorphism(self) -> bool:
         return self.source == self.target and self.is_surjective()
@@ -240,9 +234,7 @@ class GroupHom:
 
 def identity_hom(g: FinAbGroup) -> GroupHom:
     n = g.rank
-    return GroupHom(
-        g, g, tuple(GroupElement(g, tuple(1 if i == j else 0 for i in range(n))) for j in range(n))
-    )
+    return GroupHom(g, g, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -305,10 +297,7 @@ def enumerate_homs(a: FinAbGroup, b: FinAbGroup, budget: int = HOM_BUDGET):
     flat = [c for cells in per_gen_choices for c in cells]
     r = b.rank
     for combo in itertools.product(*flat):
-        images = tuple(
-            GroupElement(b, combo[k * r : (k + 1) * r]) for k in range(a.rank)
-        )
-        yield GroupHom(a, b, images)
+        yield GroupHom(a, b, tuple(combo[k * r : (k + 1) * r] for k in range(a.rank)))
 
 
 def enumerate_surjections(a: FinAbGroup, b: FinAbGroup, budget: int = HOM_BUDGET):

@@ -41,10 +41,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 

@@ -20,7 +20,7 @@ import operator
 from . import rng
 from .ensembles import quotient_dual_pairing, symmetric_array
 from .errors import BudgetExceeded, NotALift, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, GroupElement, _rank_mod_p, enumerate_surjections
+from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p, enumerate_surjections
 from .intmat import IntMatrix
 from .modmaps import ModuleMap
 from .pairings import PairingGram, gram_from_scaled_blocks, pushforward
@@ -153,21 +153,20 @@ def lift_codomain(group: FinAbGroup) -> FinAbGroup:
 
 def standard_lift(f: ModuleMap) -> ModuleMap:
     """The lift whose coefficients are the representatives of f's own."""
-    big = lift_codomain(f.target)
-    return ModuleMap.from_matrix(f.target.exponent**2, big, [img.coords for img in f.images])
+    return ModuleMap(f.target.exponent**2, lift_codomain(f.target), f.columns)
 
 
 def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
-    """A uniformly random lift of f to the enlarged group, drawn image by
-    image, coordinate by coordinate."""
+    """A uniformly random lift of f to the enlarged group, drawn column by
+    column, coordinate by coordinate."""
     big = lift_codomain(f.target)
     below = rng.stream(seed).below
     steps = f.target.generator_orders
     spans = [b // s for s, b in zip(steps, big.generator_orders)]
-    # c < s and each draw is below k, so every coordinate is already reduced
-    draws = ([c + s * below(k) for c, s, k in zip(img.coords, steps, spans)] for img in f.images)
-    images = tuple(GroupElement._trusted(big, tuple(col)) for col in draws)
-    return ModuleMap._trusted(f.target.exponent**2, big, images)
+    columns = tuple(
+        [tuple([c + s * below(k) for c, s, k in zip(col, steps, spans)]) for col in f.columns]
+    )
+    return ModuleMap(f.target.exponent**2, big, columns)
 
 
 def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):
@@ -188,8 +187,7 @@ def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):
     if lift.target != lift_codomain(group) or lift.n != n:
         raise NotALift("lift has the wrong domain or codomain")
     orders = group.generator_orders
-    reduced = [tuple(map(operator.mod, a.coords, orders)) for a in lift.images]
-    if reduced != [b.coords for b in f.images]:
+    if tuple([tuple(map(operator.mod, c, orders)) for c in lift.columns]) != f.columns:
         raise NotALift("lift disagrees with the map modulo the target's orders")
     key = {}
     for p, lam in group.types:

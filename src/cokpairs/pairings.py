@@ -561,7 +561,7 @@ def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
     rescaled to the target's; that division is exact too, as the pushed
     values have denominators dividing the target's orders.
     """
-    src, tgt, mat = f.source, f.target, f.matrix()
+    src, tgt, cols = f.source, f.target, f.columns
     if gram_on_dual_source.group != src:
         raise ValueError("gram must live on the dual of the source")
     so, to = src.generator_orders, tgt.generator_orders
@@ -570,7 +570,7 @@ def pushforward(f: GroupHom, gram_on_dual_source: PairingGram) -> PairingGram:
         b = gram_on_dual_source.scaled_block(p)
         qs, qt = p ** max(src.partition(p), default=0), p ** lam[0]
         idx = src.generator_indices(p)
-        ls = [[mat[i][a] * so[a] // to[i] for a in idx] for i in tgt.generator_indices(p)]
+        ls = [[cols[a][i] * so[a] // to[i] for a in idx] for i in tgt.generator_indices(p)]
         lb = [[sum(map(mul, row, col)) for col in b] for row in ls]  # b is symmetric
         blocks.append(tuple(tuple(sum(map(mul, u, w)) % qs * qt // qs for w in ls) for u in lb))
     return PairingGram(tgt, tuple(blocks))

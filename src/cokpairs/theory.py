@@ -22,7 +22,7 @@ from math import prod
 from . import rng
 from .arith import factorint, partitions, require_prime
 from .errors import BudgetExceeded
-from .groups import HOM_BUDGET, FinAbGroup
+from .groups import HOM_BUDGET, FinAbGroup, subgroup_order
 from .modmaps import ModuleMap
 from .moments import lift_codomain, random_lift
 from .pairings import (
@@ -435,23 +435,17 @@ def is_robust(lift: ModuleMap, c_map: ModuleMap, gamma: Fraction) -> bool:
         raise ValueError("C must be defined on the same basis")
     n = lift.n
     joint_target = lift.target.direct_sum(c_map.target)
-    joint = ModuleMap.from_matrix(
-        lift.modulus,
-        joint_target,
-        [
-            tuple(lift.images[j].coords) + tuple(c_map.images[j].coords)
-            for j in range(n)
-        ],
-    )
-    from .groups import subgroup_order
+    joint_columns = tuple(a + b for a, b in zip(lift.columns, c_map.columns))
+    joint = ModuleMap(lift.modulus, joint_target, joint_columns)
+    lift_images, joint_images = lift.images, joint.images
 
     for size in range(0, n + 1):
         if Fraction(size) >= gamma * n:
             break
         for sigma in itertools.combinations(range(n), size):
             ex = frozenset(sigma)
-            gens_lift = [lift.images[j] for j in range(n) if j not in ex]
-            gens_joint = [joint.images[j] for j in range(n) if j not in ex]
+            gens_lift = [lift_images[j] for j in range(n) if j not in ex]
+            gens_joint = [joint_images[j] for j in range(n) if j not in ex]
             if subgroup_order(joint_target, gens_joint) <= subgroup_order(lift.target, gens_lift):
                 return False  # kernels coincide on this restriction: weak
     return True

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand runs and prints what it should."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -55,6 +56,29 @@ def test_classify_reports_a_group_over_the_budget(capsys):
     )
     assert code == 1
     assert out.startswith("budget_exceeded: |End| = ") and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["--matrix", "1 2; 3 4"], ""),
+        (["--matrix", "1 2; 2"], ""),
+        (["--matrix", "1 x; 2 3"], ""),
+        (["--graph", "3|0-3"], ""),
+        ([], "1 2; 3 4"),
+    ],
+    ids=["asymmetric", "ragged", "non-integer", "bad-edge", "asymmetric-stdin"],
+)
+def test_classify_reports_malformed_input_as_a_bad_argument(argv, stdin, capsys, monkeypatch):
+    # an asymmetric, ragged or non-integer matrix or a bad edge used to end in a traceback
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *argv, "--primes", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("cokpairs classify: error: ")
 
 
 def test_constants(capsys):

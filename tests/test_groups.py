@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cokpairs.errors import BudgetExceeded
+from cokpairs.modmaps import ModuleMap
 from cokpairs.groups import (
     FinAbGroup,
     GroupElement,
@@ -233,7 +234,34 @@ def test_hom_well_definedness_rejected():
     g = G(4)
     h = G(8)
     with pytest.raises(ValueError):
-        GroupHom(g, h, (h.element((1,)),))  # 4 * 1 != 0 in Z/8
+        GroupHom(g, h, ((1,),))  # 4 * 1 != 0 in Z/8
+
+
+@pytest.mark.parametrize(
+    "build, columns",
+    [
+        (lambda: ModuleMap.from_matrix(6, G(4), [(1,)]), ValueError),  # 6 is no multiple of 4
+        (lambda: ModuleMap.from_matrix(4, G(2, 2), [(1, 0), (1,)]), ValueError),
+        (lambda: GroupHom(G(4), G(2, 2), ((1, 0, 0),)), ValueError),
+        (lambda: GroupHom(G(4, 2), G(2), ((1,),)), ValueError),  # one column for two generators
+        (lambda: ModuleMap.from_matrix(4, G(4), [(5,), (-1,)]), ((1,), (3,))),
+        (lambda: GroupHom(G(4), G(4), ((5,),)), ((1,),)),
+        (lambda: GroupHom(G(6), G(6), ((3, 0), (0, 4))), ((1, 0), (0, 1))),
+    ],
+    ids=["modulus", "short-column", "long-column", "column-count", "reduce-map", "reduce-hom",
+         "reduce-two-primes"],
+)
+def test_map_constructors_check_and_reduce_columns(build, columns):
+    """Both map types refuse a bad modulus, a column of the wrong length and
+    the wrong number of columns, store each column reduced mod the target's
+    generator orders, and show those columns as elements through `images`."""
+    if columns is ValueError:
+        with pytest.raises(ValueError):
+            build()
+        return
+    f = build()
+    assert f.columns == columns
+    assert f.images == tuple(GroupElement(f.target, c) for c in f.columns)
 
 
 def test_identity_and_apply():
@@ -256,8 +284,6 @@ def test_onto_check_matches_subgroup_closure():
     """The Nakayama onto check agrees with the order of the generated
     subgroup, computed by closure: on every map (Z/a)^n -> G, n <= 3, with
     every excluded set, and on every hom between a few multi-prime groups."""
-    from cokpairs.modmaps import ModuleMap
-
     for target in (G(4), G(2, 2), G(6), G(3, 3)):
         elements = list(itertools.product(*(range(o) for o in target.generator_orders)))
         for n in range(4):

@@ -183,7 +183,7 @@ def test_lean_lift_matches_reference():
     """random_lift and lifted_pairing_key against the scalar reference in
     lift_oracle, on every map (Z/a)^n -> G with n <= 3: the same lift for the
     same seed, the same key (and key text), NotALift on the same bad lifts,
-    and a lift from the unchecked constructors equal to the checked one."""
+    and a lift equal to the map rebuilt from its columns."""
     import lift_oracle
 
     rng = random.Random(14)
@@ -220,6 +220,40 @@ def test_lean_lift_matches_reference():
                         with pytest.raises(NotALift):
                             route(m, f, f)
     assert seen_none and seen_key
+
+
+def test_sur_star_routes_build_no_group_element(monkeypatch):
+    """Moment trials (uniform mod 9 onto Z/3|1/3) and the three Sur* routes
+    on one small matrix give the same outputs when no GroupElement can be
+    built: every route reads its maps as integer columns."""
+    from cokpairs import groups
+    from cokpairs.experiments import _moment_trial
+    from cokpairs.pairings import parse_paired_group, pushforward
+
+    unif = EnsembleSpec(kind=KIND_UNIFORM, n=40, seed=22, modulus=9)
+    target = parse_paired_group("Z/3|1/3")
+    m, g = IntMatrix.from_rows([[0, 2, 0], [2, 0, 0], [0, 0, 2]]), G(2, 2)
+    src_group, src_gram = tensor_quotient_with_dual_pairing(m, g.exponent)
+
+    def outputs():
+        columns = itertools.product(itertools.product(range(2), range(2)), repeat=m.rows)
+        maps = [ModuleMap.from_matrix(4, g, cols) for cols in columns]
+        return (
+            [_moment_trial(unif, target, t) for t in range(20)],
+            sur_star_congruence_table(m, g),
+            [lifted_pairing_key(m, f, random_lift(f, seed)) for seed, f in enumerate(maps)],
+            [pushforward(f, src_gram) for f in enumerate_surjections(src_group, g)],
+        )
+
+    def no_element(self):
+        raise AssertionError("a GroupElement was built on a Sur* route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups.GroupElement, "__post_init__", no_element)
+        element_free = outputs()
+    assert element_free == outputs()
+    moments, _, keys, pushed = element_free
+    assert any(c for _, _, c in moments) and any(keys) and pushed
 
 
 def test_lifted_key_rejects_bad_matrices():
