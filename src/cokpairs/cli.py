@@ -112,17 +112,23 @@ def cmd_classify(args) -> int:
             m = laplacian(g)
             free_rank = connected_components(g)
         else:
-            text = args.matrix if args.matrix else sys.stdin.read()
-            m = parse_matrix(text)
+            m = parse_matrix(args.matrix if args.matrix is not None else sys.stdin.read())
+            if not m.rows:
+                raise ValueError("the matrix is empty")
             free_rank = args.free_rank
         if not m.is_symmetric():
             raise NotSymmetric("the matrix is not symmetric")
+        if free_rank < 0:
+            raise ValueError(f"free rank must be >= 0, got {free_rank}")
+        primes = tuple(int(p) for p in args.primes.split(","))
+        if len(set(primes)) < len(primes):
+            raise ValueError(f"a prime is repeated in {args.primes}")
+        caps = {p: default_cap(p, args.order_bound) for p in primes}
     except ValueError as e:
-        # a malformed matrix or graph is a bad argument: one line, exit code 2
+        # a malformed matrix, graph, free rank or prime list is a bad
+        # argument: one line, exit code 2
         sys.stderr.write(f"cokpairs classify: error: {e}\n")
         raise SystemExit(2) from None
-    primes = tuple(int(p) for p in args.primes.split(","))
-    caps = {p: default_cap(p, args.order_bound) for p in primes}
     try:
         res = cokernel_pairing_class(m, primes, caps, free_rank)
     except BudgetExceeded as e:

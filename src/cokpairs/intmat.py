@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arith import lcm, xgcd
@@ -19,6 +20,9 @@ from .groups import FinAbGroup
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Immutable; derived invariants are cached, and ==, hash, repr and
+    pickles see rows, cols and data alone."""
+
     rows: int
     cols: int
     data: tuple[tuple[int, ...], ...]
@@ -26,6 +30,9 @@ class IntMatrix:
     def __post_init__(self):
         if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
             raise ValueError("shape does not match entries")
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.data)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -54,6 +61,10 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
 
     def is_symmetric(self) -> bool:
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
         return all(

@@ -15,7 +15,7 @@ from operator import mod
 from .groups import FinAbGroup, GroupElement, _onto, subgroup_order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuleMap:
     """Hom((Z/modulus)^n, target): column j holds the target coordinates of
     the image of basis vector j, each reduced mod its target generator order."""
@@ -24,14 +24,15 @@ class ModuleMap:
     target: FinAbGroup
     columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.target.exponent and self.modulus % self.target.exponent:
+    def __init__(self, modulus: int, target: FinAbGroup, columns):
+        # one checked pass; the fields are written once, past the frozen guard
+        if target.exponent and modulus % target.exponent:
             raise ValueError("modulus must be a multiple of the target exponent")
-        orders = self.target.generator_orders
-        if set(map(len, self.columns)) - {len(orders)}:
+        orders = target.generator_orders
+        if set(map(len, columns)) - {len(orders)}:
             raise ValueError("column length does not match the target's rank")
-        columns = tuple([tuple(map(mod, c, orders)) for c in self.columns])
-        object.__setattr__(self, "columns", columns)
+        columns = tuple([tuple(map(mod, c, orders)) for c in columns])
+        self.__dict__.update(modulus=modulus, target=target, columns=columns)
 
     @staticmethod
     def from_matrix(modulus: int, target: FinAbGroup, columns) -> "ModuleMap":

@@ -156,17 +156,42 @@ def standard_lift(f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.target.exponent**2, lift_codomain(f.target), f.columns)
 
 
+@functools.lru_cache(maxsize=64)
+def _lift_plan(group: FinAbGroup):
+    """What the lifted route needs of a target G, worked out once.
+
+    Returns (codomain, modulus, steps, spans, blocks): the enlarged codomain
+    and the lift's modulus exp(G)^2; each generator's order and its number
+    of lifts; and per prime (p, p^(2*lam1), rows), where row i is
+    (g_i, p^lam_i, pairs), g_i the flat index of the block's generator i,
+    and pairs holds for each j >= i the tuple
+    (g_j, (i, j), p^(2*lam1 - lam_i - lam_j), p^(2*lam1 - lam_j), p^lam_j).
+    """
+    big = lift_codomain(group)
+    steps = group.generator_orders
+    spans = tuple(b // s for s, b in zip(steps, big.generator_orders))
+    blocks = []
+    for p, lam in group.types:
+        top, gens = 2 * lam[0], group.generator_indices(p)
+        rows = []
+        for i, e in enumerate(lam):
+            pairs = tuple(
+                (gens[j], (i, j), p ** (top - e - x), p ** (top - x), p**x)
+                for j, x in enumerate(lam)
+                if j >= i
+            )
+            rows.append((gens[i], p**e, pairs))
+        blocks.append((p, p**top, tuple(rows)))
+    return big, group.exponent**2, steps, spans, tuple(blocks)
+
+
 def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
     """A uniformly random lift of f to the enlarged group, drawn column by
     column, coordinate by coordinate."""
-    big = lift_codomain(f.target)
+    big, modulus, steps, spans, _ = _lift_plan(f.target)
     below = rng.stream(seed).below
-    steps = f.target.generator_orders
-    spans = [b // s for s, b in zip(steps, big.generator_orders)]
-    columns = tuple(
-        [tuple([c + s * below(k) for c, s, k in zip(col, steps, spans)]) for col in f.columns]
-    )
-    return ModuleMap(f.target.exponent**2, big, columns)
+    columns = [[c + s * below(k) for c, s, k in zip(col, steps, spans)] for col in f.columns]
+    return ModuleMap(modulus, big, columns)
 
 
 def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):
@@ -177,37 +202,37 @@ def lifted_pairing_key(m: IntMatrix, f: ModuleMap, lift: ModuleMap):
 
     The two diagonal scalings (by p^(2*lam1 - lam_i) and p^(lam1 - lam_i))
     fold into the congruences below.  The key is {p: {(i, j): a_ij}} with
-    i <= j, matching the dual-Gram numerator convention.
+    i <= j, matching the dual-Gram numerator convention.  Row i of the
+    lifted f.m is formed only once the rows before it have passed.
     """
-    group, n, rows = f.target, f.n, m.data
+    n, rows, cols = f.n, m.data, lift.columns
     if m.rows != n or m.cols != n:
         raise ValueError(f"m is {m.rows} x {m.cols}, the map has {n} basis vectors")
     if not m.is_symmetric():
         raise NotSymmetric("lifted equations need a symmetric matrix")
-    if lift.target != lift_codomain(group) or lift.n != n:
+    big, _, steps, _, blocks = _lift_plan(f.target)
+    if lift.target != big or len(cols) != n:
         raise NotALift("lift has the wrong domain or codomain")
-    orders = group.generator_orders
-    if tuple([tuple(map(operator.mod, c, orders)) for c in lift.columns]) != f.columns:
-        raise NotALift("lift disagrees with the map modulo the target's orders")
+    for c, fc in zip(cols, f.columns):
+        if tuple(map(operator.mod, c, steps)) != fc:
+            raise NotALift("lift disagrees with the map modulo the target's orders")
+    # row g holds generator g's coordinates of the lift (empty rows when n = 0)
+    lifted = list(zip(*cols)) or [()] * len(steps)
     key = {}
-    for p, lam in group.types:
-        r, lam1 = len(lam), lam[0]
-        mod = p ** (2 * lam1)
-        big = lift.block(p)
-        # row l of the symmetric m is its column l
-        fm = [[sum(map(operator.mul, row, m_row)) % mod for m_row in rows] for row in big]
+    for p, mod, eqs in blocks:
         nums = {}
-        for i, e in enumerate(lam):
-            scale = p ** (2 * lam1 - e)
-            if any(scale * x % mod for x in fm[i]):
+        for g, order, pairs in eqs:
+            # row l of the symmetric m is its column l
+            fm = [sum(map(operator.mul, lifted[g], m_row)) % mod for m_row in rows]
+            # p^(2*lam1 - lam_i) * fm = 0 mod p^(2*lam1), i.e. p^lam_i | fm
+            if any(x % order for x in fm):
                 return None
-            for j in range(i, r):
-                lhs = p ** (2 * lam1 - e - lam[j]) * sum(map(operator.mul, fm[i], big[j])) % mod
+            for h, ij, top, step, radix in pairs:
+                lhs = top * sum(map(operator.mul, fm, lifted[h])) % mod
                 # the kernel equations force divisibility by p^(2*lam1 - lam_j)
-                step = p ** (2 * lam1 - lam[j])
                 if lhs % step:
                     return None
-                nums[(i, j)] = lhs // step % p ** lam[j]
+                nums[ij] = lhs // step % radix
         key[p] = nums
     return key
 

@@ -435,7 +435,11 @@ def is_robust(lift: ModuleMap, c_map: ModuleMap, gamma: Fraction) -> bool:
         raise ValueError("C must be defined on the same basis")
     n = lift.n
     joint_target = lift.target.direct_sum(c_map.target)
-    joint_columns = tuple(a + b for a, b in zip(lift.columns, c_map.columns))
+    # direct_sum orders generators prime by prime, exponents descending,
+    # the lift's before C's on a tie: place each coordinate on its generator
+    gens = lift.target.generators + c_map.target.generators
+    order = sorted(range(len(gens)), key=lambda k: (gens[k][0], -gens[k][1], k))
+    joint_columns = [[(a + b)[k] for k in order] for a, b in zip(lift.columns, c_map.columns)]
     joint = ModuleMap(lift.modulus, joint_target, joint_columns)
     lift_images, joint_images = lift.images, joint.images
 

@@ -66,14 +66,30 @@ def test_classify_reports_a_group_over_the_budget(capsys):
         (["--matrix", "1 x; 2 3"], ""),
         (["--graph", "3|0-3"], ""),
         ([], "1 2; 3 4"),
+        (["--matrix", "2 0; 0 2", "--free-rank", "-1"], ""),
+        (["--matrix", "2 0; 0 2", "--primes", "4"], ""),
+        (["--matrix", "2 0; 0 2", "--primes", "2,2"], ""),
+        (["--matrix", ""], "2 0; 0 2"),
     ],
-    ids=["asymmetric", "ragged", "non-integer", "bad-edge", "asymmetric-stdin"],
+    ids=[
+        "asymmetric",
+        "ragged",
+        "non-integer",
+        "bad-edge",
+        "asymmetric-stdin",
+        "negative-free-rank",
+        "non-prime",
+        "repeated-prime",
+        "empty-matrix",
+    ],
 )
 def test_classify_reports_malformed_input_as_a_bad_argument(argv, stdin, capsys, monkeypatch):
-    # an asymmetric, ragged or non-integer matrix or a bad edge used to end in a traceback
+    # each of these used to end in a traceback, except the empty --matrix,
+    # which read the matrix from stdin instead
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    primes = [] if "--primes" in argv else ["--primes", "2"]
     with pytest.raises(SystemExit) as exc:
-        main(["classify", *argv, "--primes", "2"])
+        main(["classify", *argv, *primes])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

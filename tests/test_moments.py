@@ -1,6 +1,8 @@
 """Sur* counting by independent routes, and moment estimation."""
 
 import itertools
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from cokpairs.groups import FinAbGroup, enumerate_surjections
 from cokpairs.intmat import IntMatrix
 from cokpairs.modmaps import ModuleMap
 from cokpairs.moments import (
+    _lift_plan,
     count_sur_star_congruence,
     count_sur_star_pushforward,
     dual_gram_numerators,
@@ -181,18 +184,20 @@ def test_lift_independence():
 
 def test_lean_lift_matches_reference():
     """random_lift and lifted_pairing_key against the scalar reference in
-    lift_oracle, on every map (Z/a)^n -> G with n <= 3: the same lift for the
-    same seed, the same key (and key text), NotALift on the same bad lifts,
-    and a lift equal to the map rebuilt from its columns."""
+    lift_oracle, on every map (Z/a)^n -> G with n <= 3 (n <= 2 for the
+    largest target): the same lift for the same seed, the same key (and key
+    text), NotALift on the same bad lifts, and a lift equal to the map
+    rebuilt from its columns.  Every target's lift plan is built afresh."""
     import lift_oracle
 
     rng = random.Random(14)
-    targets = [G(2), G(2, 2), G(2, 2, 2), G(3), G(3, 3), G(4, 2), G(9), G(2, 3)]
+    targets = [G(2), G(2, 2), G(2, 2, 2), G(3), G(3, 3), G(4, 2), G(9), G(2, 3), G(4, 2, 3)]
+    _lift_plan.cache_clear()
     seen_none = seen_key = 0
     for g in targets:
         a = g.exponent**2
         big_orders = lift_codomain(g).generator_orders
-        for n in range(1, 4):
+        for n in range(1, 3 if g.order > 12 else 4):
             m0 = [[rng.randrange(-3 * a, 3 * a) for _ in range(n)] for _ in range(n)]
             sym = [[m0[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
             # the second matrix is 0 mod exp(G), so every map meets the kernel equations
@@ -220,6 +225,41 @@ def test_lean_lift_matches_reference():
                         with pytest.raises(NotALift):
                             route(m, f, f)
     assert seen_none and seen_key
+    info = _lift_plan.cache_info()
+    assert info.misses == info.currsize == len(targets) and info.hits
+    # row 0 of the lifted f.m passes, with its quadratic congruences, and row 1 fails
+    g, m = G(2, 2), IntMatrix.from_rows([[2, 0], [0, 1]])
+    f = ModuleMap.from_matrix(4, g, [(1, 0), (0, 1)])
+    for seed in range(20):
+        lift = random_lift(f, seed)
+        fm = [[sum(map(operator.mul, row, m_row)) % 4 for m_row in m.data] for row in zip(*lift.columns)]
+        assert not any(x % 2 for x in fm[0]) and any(x % 2 for x in fm[1])
+        assert lifted_pairing_key(m, f, lift) is None
+        assert lift_oracle.lifted_pairing_key(m, f, lift) is None
+
+
+def test_cached_symmetry_is_invisible():
+    """Once is_symmetric() has run, a matrix keeps its ==, hash, repr and
+    pickle, and the cached flag still refuses a matrix that is not symmetric."""
+    for rows in ([[1, 2], [2, 5]], [[1, 2], [3, 5]], [[1, 2, 3], [4, 5, 6]]):
+        m, fresh = IntMatrix.from_rows(rows), IntMatrix.from_rows(rows)
+        before = (repr(m), hash(m), pickle.dumps(m))
+        flag = m.is_symmetric()
+        assert (repr(m), hash(m), pickle.dumps(m)) == before
+        assert m == fresh and pickle.loads(pickle.dumps(m)) == fresh
+        assert pickle.loads(pickle.dumps(m)).is_symmetric() == flag == (rows == [[1, 2], [2, 5]])
+    z2 = G(2)
+    f = ModuleMap.from_matrix(4, z2, [(1,), (1,)])
+    asym, wide = IntMatrix.from_rows([[0, 2], [0, 0]]), IntMatrix.from_rows([[0, 2, 0], [2, 0, 0]])
+    for m in (asym, wide):
+        assert not m.is_symmetric()
+        with pytest.raises(NotSymmetric):
+            sur_star_congruence_table(m, z2)
+    with pytest.raises(NotSymmetric):
+        lifted_pairing_key(asym, f, standard_lift(f))
+    # a non-square matrix fails the shape check, which comes first
+    with pytest.raises(ValueError, match="the map has 2 basis vectors"):
+        lifted_pairing_key(wide, f, standard_lift(f))
 
 
 def test_sur_star_routes_build_no_group_element(monkeypatch):

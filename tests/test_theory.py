@@ -1,5 +1,7 @@
 """Constants, predictions, mass accounting, and the lemma checkers."""
 
+import itertools
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -311,4 +313,64 @@ def test_robust_weak_classifier():
     assert not is_robust(lift, czero, gamma)
     # a C injective on ker(lift) restricted anywhere: images all distinct
     csep = ModuleMap.from_matrix(lift.modulus, z2, [(0,), (1,), (1,)])
-    assert is_robust(lift, csep, gamma) in (True, False)  # classifier runs
+    assert _robust_by_closure(lift, csep, gamma) is True
+    assert is_robust(lift, csep, gamma) is True
+
+
+def _robust_by_closure(lift, c_map, gamma):
+    """is_robust by brute force: each restriction's image is closed under
+    addition, in the lift's target alone and in the product of the two
+    targets with the lift's coordinates first and C's after them."""
+    orders = lift.target.generator_orders + c_map.target.generator_orders
+
+    def image_order(gens):
+        k = len(gens[0]) if gens else 0
+        seen = {(0,) * k}
+        frontier = list(seen)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
+                    if y not in seen:
+                        seen.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        return len(seen)
+
+    n = lift.n
+    for size in range(n + 1):
+        if size >= gamma * n:
+            break
+        for sigma in itertools.combinations(range(n), size):
+            keep = [j for j in range(n) if j not in sigma]
+            pairs = [lift.columns[j] + c_map.columns[j] for j in keep]
+            if image_order(pairs) <= image_order([lift.columns[j] for j in keep]):
+                return False
+    return True
+
+
+def test_is_robust_matches_a_closure_in_the_product_group():
+    """On targets whose generators direct_sum reorders: two primes (lifts
+    onto Z/4+Z/9 and Z/16+Z/9, C into Z/2+Z/3) and one prime (a map into Z/4
+    with C into Z/8, which direct_sum puts first)."""
+    rand = random.Random(19)
+    cases = [(G(2, 3), G(2, 3), True), (G(4, 3), G(2, 3), True), (G(4), G(8), False)]
+    disagree = robust = 0
+    for g, c_target, lifted in cases:
+        for _ in range(70):
+            n = rand.randint(2, 3)
+            modulus = g.exponent**2 if lifted else 8
+            f = ModuleMap.from_matrix(
+                modulus, g, [[rand.randrange(o) for o in g.generator_orders] for _ in range(n)]
+            )
+            lift = random_lift(f, rand.getrandbits(64)) if lifted else f
+            c_map = ModuleMap.from_matrix(
+                modulus, c_target, [[rand.randrange(o) for o in c_target.generator_orders] for _ in range(n)]
+            )
+            gamma = Fraction(rand.randint(1, 3), 3)
+            want = _robust_by_closure(lift, c_map, gamma)
+            disagree += is_robust(lift, c_map, gamma) != want
+            robust += want
+    assert disagree == 0
+    assert 0 < robust < 210
