@@ -4,6 +4,7 @@ the lemma verification table."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,10 @@ from .experiments import (
     run_moment,
 )
 from .graphs import connected_components, laplacian, parse_graph
+from .groups import FinAbGroup
 from .intmat import IntMatrix
+from .modmaps import ModuleMap
+from .theory import cl_constant, code_distance, depth, lift_code_check, special_pair_census
 
 
 def format_matrix(m: IntMatrix) -> str:
@@ -191,8 +195,6 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from .theory import cl_constant
-
     for p in (int(x) for x in args.primes.split(",")):
         v, tail = cl_constant(p, args.truncation)
         print(f"p={p}: prod_k (1 - p^(1-2k)) = {v}  (tail bound {tail})")
@@ -200,10 +202,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    from .modmaps import ModuleMap
-    from .groups import FinAbGroup
-    from .theory import code_distance, depth, lift_code_check, special_pair_census
-
     failures = 0
     print(f"{'check':34s} {'instance':24s} {'predicted':>10s} {'observed':>10s} verdict")
 
@@ -231,8 +229,6 @@ def cmd_verify_lemmas(args) -> int:
     ok = lift_code_check(ones, trials=20, seed=args.seed)
     failures += not ok
     print(f"{'lifts keep code distance':34s} {'all-ones (Z/4)^3 -> Z/2':24s} {'true':>10s} {str(ok).lower():>10s} {'pass' if ok else 'FAIL'}")
-
-    import itertools
 
     delta = Fraction(2, 5)
     all_ok = True

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .arith import require_prime
+from .arith import factorint, lcm, require_prime
 from .errors import NotSymmetric, UnbalancedDistribution
 from .graphs import Graph, er_adjacency, graph_from_adjacency, laplacian_array, upper_indices
 from .groups import FinAbGroup
@@ -224,15 +224,16 @@ def sylow_paired_group(
     return group, gram_from_scaled_blocks(group, {p: block})
 
 
-def quotient_dual_pairing(pres_rows, sym_rows, p, k):
+def quotient_dual_pairing(pres_rows, p, k):
     """The p-part of a finite quotient tensored with Z/p^k, with the induced
     pairing on its dual.
 
-    pres_rows (h x w) presents the quotient Z^h / col(pres); sym_rows
-    (h x h) is the symmetric matrix computing the dual pairing in those
-    coordinates; either is an array or nested sequences.  Exponents are min(e, k), which is exact for the tensor
-    (no cap flag needed).  Returns (exponents descending, scaled gram block
-    mod p^lam1) or (None, None) for a trivial p-part.
+    pres_rows (h x w, w >= h; an array or nested sequences) presents the
+    quotient Z^h / col(pres), and its leading h x h block is the symmetric
+    matrix computing the dual pairing in those coordinates.  Exponents are
+    min(e, k), which is exact for the tensor (no cap flag needed).  Returns
+    (exponents descending, scaled gram block mod p^lam1) or (None, None) for
+    a trivial p-part.
     """
     h = len(pres_rows)
     w = len(pres_rows[0]) if h else 0
@@ -243,7 +244,7 @@ def quotient_dual_pairing(pres_rows, sym_rows, p, k):
         return None, None  # full rank mod 2: every exponent is 0
     exps, u = _padic_snf(pres, p, big_k)
     mus = [min(e, k) for e in exps] + [k] * (h - len(exps))
-    return _dual_block(u, mus, _residues(sym_rows, (h, h), mod), p, mod)
+    return _dual_block(u, mus, pres[:, :h], p, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,6 @@ class EntryDistribution:
 
     def check_balance(self, modulus: int, alpha: Fraction) -> None:
         """Certify: every residue mod every prime of modulus has weight <= 1 - alpha."""
-        from .arith import factorint
-
         for p in factorint(modulus):
             for t in range(p):
                 mass = sum((w for s, w in zip(self.support, self.weights) if s % p == t), Fraction(0))
@@ -279,8 +278,6 @@ class EntryDistribution:
 
     def sampler(self):
         """Exact cumulative sampler: (common denominator, cumulative numerators)."""
-        from .arith import lcm
-
         den = 1
         for w in self.weights:
             den = lcm(den, w.denominator)

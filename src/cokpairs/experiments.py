@@ -10,7 +10,9 @@ trial logs (one line per trial) support replay and external analysis.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import functools
+import io
 import json
 import math
 import time
@@ -38,6 +40,10 @@ CONFIG_SCHEMA = "cokpairs-config/1"
 
 CAP_FLAG = "__cap_exceeded__"
 BUDGET_FLAG = "__budget_exceeded__"
+
+# classes whose expected count falls below this are pooled by the chi-square
+# and total-variation comparisons
+MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -203,13 +209,11 @@ def prediction_table(primes, order_bound: int) -> tuple[dict[str, float], str]:
     return _prediction_cache[key]
 
 
-def pooled_chi_square(
-    counts: dict[str, int], trials: int, predicted: dict[str, float], min_expected: float = 5.0
-) -> dict:
+def pooled_chi_square(counts: dict[str, int], trials: int, predicted: dict[str, float]) -> dict:
     """Chi-square against predictions, pooling every class with expected
-    count below min_expected (plus all unpredicted mass) into one bucket."""
+    count below MIN_EXPECTED (plus all unpredicted mass) into one bucket."""
     kept = sorted(
-        (key for key, p in predicted.items() if p * trials >= min_expected),
+        (key for key, p in predicted.items() if p * trials >= MIN_EXPECTED),
         key=lambda k: -predicted[k],
     )
     stat = 0.0
@@ -238,7 +242,7 @@ def pooled_chi_square(
         "cells": kept_cells,
         "other_observed": other_obs,
         "other_expected": other_exp,
-        "min_expected": min_expected,
+        "min_expected": MIN_EXPECTED,
     }
 
 
@@ -413,9 +417,6 @@ def emit_plot_data(report: ExperimentReport, path: str) -> str:
 
 
 def parse_plot_data(text: str) -> list[dict]:
-    import csv
-    import io
-
     rows = list(csv.DictReader(io.StringIO(text)))
     out = []
     for r in rows:
@@ -439,12 +440,11 @@ def total_variation_pooled(
     counts_b: dict[str, int],
     trials_b: int,
     predicted: dict[str, float],
-    min_expected: float = 5.0,
 ) -> float:
     """TV distance between two empirical class distributions after pooling
-    classes with predicted expected count below min_expected."""
+    classes with predicted expected count below MIN_EXPECTED."""
     ref_trials = min(trials_a, trials_b)
-    kept = [k for k, p in predicted.items() if p * ref_trials >= min_expected]
+    kept = [k for k, p in predicted.items() if p * ref_trials >= MIN_EXPECTED]
     fa_other, fb_other = 1.0, 1.0
     tv = 0.0
     for key in kept:

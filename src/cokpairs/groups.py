@@ -1,4 +1,4 @@
-"""Finite abelian groups by per-prime type, with hom and aut enumeration.
+"""Finite abelian groups by per-prime type, with hom and surjection enumeration.
 
 A group is stored as a map prime -> partition (weakly decreasing positive
 exponents).  The canonical generator order is primes ascending, partition
@@ -228,14 +228,6 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return _onto(self.target, self.columns)
 
-    def is_automorphism(self) -> bool:
-        return self.source == self.target and self.is_surjective()
-
-
-def identity_hom(g: FinAbGroup) -> GroupHom:
-    n = g.rank
-    return GroupHom(g, g, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
-
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     rows = [r[:] for r in rows]
@@ -306,10 +298,6 @@ def enumerate_surjections(a: FinAbGroup, b: FinAbGroup, budget: int = HOM_BUDGET
             yield f
 
 
-def enumerate_automorphisms(g: FinAbGroup, budget: int = HOM_BUDGET):
-    yield from enumerate_surjections(g, g, budget)
-
-
 def aut_order_of_type(p: int, lam: tuple[int, ...]) -> int:
     """|Aut| of the p-group of type lam (Hillar and Rhea, Amer. Math. Monthly
     114, 2007).  With the parts ascending, e_1 <= ... <= e_r, and 1-based
@@ -353,15 +341,16 @@ def construction_sizes(g: FinAbGroup) -> tuple[int, int, int]:
     return sym_lower, sym_upper, wedge
 
 
-def subgroup_order(ambient: FinAbGroup, gens: list[GroupElement]) -> int:
-    """Order of the subgroup generated by gens, by closure per prime block."""
+def subgroup_order(ambient: FinAbGroup, columns) -> int:
+    """Order of the subgroup generated by the coordinate columns, by closure
+    per prime block."""
     total = 1
     for p, lam in ambient.types:
         idx = list(ambient.generator_indices(p))
         mods = [p ** e for e in lam]
         seen = {(0,) * len(idx)}
         frontier = [(0,) * len(idx)]
-        gens_p = [tuple(el.coords[i] for i in idx) for el in gens]
+        gens_p = [tuple(col[i] for i in idx) for col in columns]
         gens_p = [t for t in gens_p if any(t)]
         while frontier:
             cur = frontier.pop()

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from .arith import lcm, xgcd
-from .errors import NotInSpan
+from .errors import NotInSpan, NotSymmetric
 from .groups import FinAbGroup
 
 
@@ -295,8 +295,6 @@ def solve_scaled_membership(m: IntMatrix, t) -> tuple[int, tuple[int, ...]]:
     over torsion rows i of d_i / gcd(d_i, y_i) for y = u @ t.
     """
     if not m.is_symmetric():
-        from .errors import NotSymmetric
-
         raise NotSymmetric("solve_scaled_membership needs a symmetric matrix")
     t = tuple(int(x) for x in t)
     snf = smith_normal_form(m)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mod
 
-from .groups import FinAbGroup, GroupElement, _onto, subgroup_order
+from .groups import FinAbGroup, _onto, subgroup_order
 
 
 @dataclass(frozen=True, init=False)
@@ -42,10 +42,6 @@ class ModuleMap:
     def n(self) -> int:
         return len(self.columns)
 
-    @property
-    def images(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(self.target, c) for c in self.columns)
-
     def block(self, p: int) -> list[list[int]]:
         """p-part coordinate matrix, rows = target p-generators, cols = basis."""
         return [[c[i] for c in self.columns] for i in self.target.generator_indices(p)]
@@ -56,5 +52,5 @@ class ModuleMap:
 
     def image_index_avoiding(self, excluded: frozenset[int]) -> int:
         """Index [target : image of the restricted map]."""
-        gens = [g for j, g in enumerate(self.images) if j not in excluded]
-        return self.target.order // subgroup_order(self.target, gens)
+        kept = [c for j, c in enumerate(self.columns) if j not in excluded]
+        return self.target.order // subgroup_order(self.target, kept)

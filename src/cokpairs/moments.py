@@ -18,6 +18,7 @@ import itertools
 import operator
 
 from . import rng
+from .arith import factorint
 from .ensembles import quotient_dual_pairing, symmetric_array
 from .errors import BudgetExceeded, NotALift, NotSymmetric
 from .groups import HOM_BUDGET, FinAbGroup, _rank_mod_p, enumerate_surjections
@@ -118,42 +119,14 @@ def sur_star_congruence_table(m: IntMatrix, group: FinAbGroup, budget: int = HOM
     return out
 
 
-def count_sur_star_congruence(
-    m: IntMatrix,
-    target_group: FinAbGroup,
-    target_dual_gram: PairingGram,
-    budget: int = HOM_BUDGET,
-) -> int:
-    """Count surjections (Z/a)^n -> G satisfying the kernel and pairing
-    congruences against the matrix residues (a = exponent(G)^2).
-
-    This is the independent matrix-side oracle for
-    count_sur_star_pushforward composed with the cokernel pairing."""
-    tables = sur_star_congruence_table(m, target_group, budget)
-    total = 1
-    for p, lam in target_group.types:
-        nums = dual_gram_numerators(target_group, target_dual_gram, p)
-        key = tuple(nums[(i, j)] for i in range(len(lam)) for j in range(i, len(lam)))
-        total *= tables[p].get(key, 0)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # lifted equations
 
 
-@functools.lru_cache(maxsize=64)
 def lift_codomain(group: FinAbGroup) -> FinAbGroup:
     """The enlarged group with doubled top exponent: one generator of order
     p^(2*lam1) per generator of the p-block."""
-    return FinAbGroup.from_prime_types(
-        {p: tuple(2 * lam[0] for _ in lam) for p, lam in group.types}
-    )
-
-
-def standard_lift(f: ModuleMap) -> ModuleMap:
-    """The lift whose coefficients are the representatives of f's own."""
-    return ModuleMap(f.target.exponent**2, lift_codomain(f.target), f.columns)
+    return _lift_plan(group)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,13 +134,13 @@ def _lift_plan(group: FinAbGroup):
     """What the lifted route needs of a target G, worked out once.
 
     Returns (codomain, modulus, steps, spans, blocks): the enlarged codomain
-    and the lift's modulus exp(G)^2; each generator's order and its number
-    of lifts; and per prime (p, p^(2*lam1), rows), where row i is
-    (g_i, p^lam_i, pairs), g_i the flat index of the block's generator i,
-    and pairs holds for each j >= i the tuple
+    (see lift_codomain) and the lift's modulus exp(G)^2; each generator's
+    order and its number of lifts; and per prime (p, p^(2*lam1), rows),
+    where row i is (g_i, p^lam_i, pairs), g_i the flat index of the block's
+    generator i, and pairs holds for each j >= i the tuple
     (g_j, (i, j), p^(2*lam1 - lam_i - lam_j), p^(2*lam1 - lam_j), p^lam_j).
     """
-    big = lift_codomain(group)
+    big = FinAbGroup.from_prime_types({p: tuple(2 * lam[0] for _ in lam) for p, lam in group.types})
     steps = group.generator_orders
     spans = tuple(b // s for s, b in zip(steps, big.generator_orders))
     blocks = []
@@ -268,12 +241,10 @@ def tensor_quotient_with_dual_pairing(
     With zero_sum=True the quotient is taken inside the zero-sum sublattice
     (the sandpile convention for Laplacians): the presentation drops the
     last row and the pairing contracts to the leading block."""
-    from .arith import factorint
-
     a = symmetric_array(m, "tensor_quotient_with_dual_pairing")
-    pres, sym = (a[:-1], a[:-1, :-1]) if zero_sum else (a, a)
+    pres = a[:-1] if zero_sum else a
     types, blocks = {}, {}
     for p, k in factorint(b).items():
-        types[p], blocks[p] = quotient_dual_pairing(pres, sym, p, k)
+        types[p], blocks[p] = quotient_dual_pairing(pres, p, k)
     group = FinAbGroup.from_prime_types(types)
     return group, gram_from_scaled_blocks(group, blocks)

@@ -57,7 +57,7 @@ import numpy as np
 
 from .arith import factorint
 from .errors import BudgetExceeded, NotInDual, NotSymmetric
-from .groups import HOM_BUDGET, FinAbGroup, GroupHom, aut_order_of_type
+from .groups import HOM_BUDGET, FinAbGroup, GroupHom, aut_order_of_type, parse_group
 from .intmat import IntMatrix, RationalVector, smith_normal_form
 
 
@@ -612,19 +612,11 @@ def pairing_class_table(
     return sorted(table, key=lambda info: info.class_id.text)
 
 
-def enumerate_pairing_classes(
-    g: FinAbGroup, perfect_only: bool, budget: int = HOM_BUDGET
-) -> list[PairClassId]:
-    return [info.class_id for info in pairing_class_table(g, perfect_only, budget)]
-
-
 def parse_paired_group(text: str) -> PairedGroup:
     """Parse the canonical text form "group|gram", e.g. "Z/2+Z/4|0/1,1/4,...".
 
     Gram entries are row-major reduced fractions; a trivial group is "1|".
     """
-    from .groups import parse_group
-
     head, _, rest = text.partition("|")
     group = parse_group(head)
     r = group.rank

@@ -28,6 +28,8 @@ from .moments import lift_codomain, random_lift
 from .pairings import (
     PairClassId,
     PairedGroup,
+    aut_preserving_count,
+    canonical_pair_class,
     pairing_class_table,
 )
 
@@ -92,8 +94,6 @@ def clp_probability(
 
     Degenerate pairings get probability exactly 0.
     """
-    from .pairings import aut_preserving_count, canonical_pair_class
-
     primes = sorted(set(primes))
     bad = [p for p in target.group.primes if p not in primes]
     if bad:
@@ -431,7 +431,7 @@ def is_robust(lift: ModuleMap, c_map: ModuleMap, gamma: Fraction) -> bool:
 
     gamma has no pinned default; callers must choose it.
     """
-    if c_map.n != lift.n:
+    if c_map.n != lift.n or lift.modulus % c_map.target.exponent:
         raise ValueError("C must be defined on the same basis")
     n = lift.n
     joint_target = lift.target.direct_sum(c_map.target)
@@ -440,16 +440,14 @@ def is_robust(lift: ModuleMap, c_map: ModuleMap, gamma: Fraction) -> bool:
     gens = lift.target.generators + c_map.target.generators
     order = sorted(range(len(gens)), key=lambda k: (gens[k][0], -gens[k][1], k))
     joint_columns = [[(a + b)[k] for k in order] for a, b in zip(lift.columns, c_map.columns)]
-    joint = ModuleMap(lift.modulus, joint_target, joint_columns)
-    lift_images, joint_images = lift.images, joint.images
 
     for size in range(0, n + 1):
         if Fraction(size) >= gamma * n:
             break
         for sigma in itertools.combinations(range(n), size):
-            ex = frozenset(sigma)
-            gens_lift = [lift_images[j] for j in range(n) if j not in ex]
-            gens_joint = [joint_images[j] for j in range(n) if j not in ex]
-            if subgroup_order(joint_target, gens_joint) <= subgroup_order(lift.target, gens_lift):
+            keep = [j for j in range(n) if j not in sigma]
+            joint_kept = [joint_columns[j] for j in keep]
+            lift_kept = [lift.columns[j] for j in keep]
+            if subgroup_order(joint_target, joint_kept) <= subgroup_order(lift.target, lift_kept):
                 return False  # kernels coincide on this restriction: weak
     return True

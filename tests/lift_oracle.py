@@ -1,10 +1,11 @@
 """Reference for the lifted route of `cokpairs.moments`.
 
-Scalar `random_lift` and `lifted_pairing_key` that build every element and
-map through the public, checking constructors, build the enlarged codomain
-afresh on every call and form the lifted products entry by entry over the
-reduced matrix.  They share nothing with the program's lift code but those
-constructors and the splitmix64 stream.
+Scalar `random_lift` and `lifted_pairing_key` that build every map through
+the public, checking constructor, build the enlarged codomain afresh on
+every call and form the lifted products entry by entry over the reduced
+matrix.  They share nothing with the program's lift code but that
+constructor and the splitmix64 stream.  `standard_lift` is the lift whose
+coefficients are the map's own representatives.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ def lift_codomain(group: FinAbGroup) -> FinAbGroup:
     return FinAbGroup.from_prime_types({p: tuple(2 * lam[0] for _ in lam) for p, lam in group.types})
 
 
+def standard_lift(f: ModuleMap) -> ModuleMap:
+    return ModuleMap(f.target.exponent**2, lift_codomain(f.target), f.columns)
+
+
 def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
     big = lift_codomain(f.target)
     s = rng.stream(seed)
@@ -29,7 +34,7 @@ def random_lift(f: ModuleMap, seed: int) -> ModuleMap:
         col = []
         for i in range(f.target.rank):
             step = orders[i]
-            col.append(f.images[j].coords[i] + step * s.below(big_orders[i] // step))
+            col.append(f.columns[j][i] + step * s.below(big_orders[i] // step))
         cols.append(tuple(col))
     return ModuleMap.from_matrix(f.target.exponent**2, big, cols)
 

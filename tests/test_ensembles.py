@@ -424,7 +424,8 @@ def test_sylow_paired_group_rejects_asymmetric_matrix():
 
 def test_quotient_dual_pairing_matches_augmented_snf():
     """The mod-p^(2k) tensor quotient agrees with the exact augmented-matrix
-    computation, as paired-group classes."""
+    computation, as paired-group classes, on the square presentation and on
+    the zero-sum one (the last row dropped, n-1 x n) of each matrix."""
     from cokpairs.arith import valuation
     from cokpairs.intmat import smith_normal_form
     from cokpairs.pairings import PairingGram
@@ -436,17 +437,19 @@ def test_quotient_dual_pairing_matches_augmented_snf():
         for i in range(n):
             for j in range(i, n):
                 a[i][j] = a[j][i] = rng.randint(-9, 9)
-        for p, k in ((2, 1), (2, 2), (3, 1)):
+        shapes = (a, a[:-1]) if n > 1 else (a,)
+        for pres, (p, k) in itertools.product(shapes, ((2, 1), (2, 2), (3, 1))):
             b = p**k
-            lam, block = quotient_dual_pairing(a, a, p, k)
-            aug = [list(a[i]) + [b if i == t else 0 for t in range(n)] for i in range(n)]
+            h = len(pres)
+            lam, block = quotient_dual_pairing(pres, p, k)
+            aug = [list(pres[i]) + [b if i == t else 0 for t in range(h)] for i in range(h)]
             s = smith_normal_form(IntMatrix.from_rows(aug))
             gens = [(i, s.d[i]) for i in range(len(s.d)) if s.d[i] > 1]
             if lam is None:
                 assert not gens
                 continue
             order = sorted(range(len(gens)), key=lambda t: (-valuation(gens[t][1], p), -t))
-            sym = IntMatrix.from_rows(a)
+            sym = IntMatrix.from_rows([row[:h] for row in pres])
             rows = []
             for i in order:
                 row = []
@@ -466,7 +469,7 @@ def test_quotient_dual_pairing_matches_augmented_snf():
             fast_pg = PairedGroup(gfast, gram_from_scaled_blocks(gfast, {p: block}))
             assert (
                 canonical_pair_class(exact_pg).text == canonical_pair_class(fast_pg).text
-            )
+            ), (pres, p, k)
 
 
 def _kernel_only_block(a, p, cap, free_rank):
@@ -544,7 +547,7 @@ def test_trivial_2_part_exit_matches_the_kernel():
                 fired += res == (None, None)
         for pres, sym in ((rows, rows), (rows[:-1], [r[:-1] for r in rows[:-1]])):
             for k in (1, 2):
-                res = quotient_dual_pairing(pres, sym, 2, k)
+                res = quotient_dual_pairing(pres, 2, k)
                 assert res == _kernel_only_quotient(pres, sym, 2, k), (pres, sym, k)
     assert fired > 1000
 

@@ -219,7 +219,7 @@ def test_plot_csv_empty_report(tmp_path):
 def test_pooled_chi_square_pools_small_cells():
     predicted = {"a": 0.5, "b": 0.3, "c": 0.001}
     counts = {"a": 52, "b": 28, "c": 1, "d": 19}
-    out = pooled_chi_square(counts, 100, predicted, min_expected=5.0)
+    out = pooled_chi_square(counts, 100, predicted)
     assert out["df"] == 2  # only a and b kept
     assert out["other_observed"] == 20
     assert abs(out["other_expected"] - 20.0) < 1e-9

@@ -7,23 +7,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from lift_oracle import standard_lift
 
 from cokpairs.ensembles import EnsembleSpec, KIND_ER, KIND_UNIFORM
 from cokpairs.errors import NotALift, NotSymmetric
 from cokpairs.experiments import ExperimentConfig, run_moment
-from cokpairs.groups import FinAbGroup, enumerate_surjections
+from cokpairs.groups import HOM_BUDGET, FinAbGroup, enumerate_surjections
 from cokpairs.intmat import IntMatrix
 from cokpairs.modmaps import ModuleMap
 from cokpairs.moments import (
     _lift_plan,
-    count_sur_star_congruence,
     count_sur_star_pushforward,
     dual_gram_numerators,
     lift_codomain,
     lifted_equation_check,
     lifted_pairing_key,
     random_lift,
-    standard_lift,
     sur_star_congruence_table,
     tensor_quotient_with_dual_pairing,
 )
@@ -47,6 +46,21 @@ def gram(g, rows):
 def trivial_target():
     t = FinAbGroup.trivial()
     return (t, PairingGram(t, ()))
+
+
+def count_sur_star_congruence(m, target_group, target_dual_gram, budget=HOM_BUDGET):
+    """Count surjections (Z/a)^n -> G satisfying the kernel and pairing
+    congruences against the matrix residues (a = exponent(G)^2).
+
+    This is the independent matrix-side oracle for
+    count_sur_star_pushforward composed with the cokernel pairing."""
+    tables = sur_star_congruence_table(m, target_group, budget)
+    total = 1
+    for p, lam in target_group.types:
+        nums = dual_gram_numerators(target_group, target_dual_gram, p)
+        key = tuple(nums[(i, j)] for i in range(len(lam)) for j in range(i, len(lam)))
+        total *= tables[p].get(key, 0)
+    return total
 
 
 def all_dual_grams(g):
@@ -207,8 +221,8 @@ def test_lean_lift_matches_reference():
                     f = ModuleMap.from_matrix(a, g, list(cols))
                     seed = rng.getrandbits(64)
                     lift, ref = random_lift(f, seed), lift_oracle.random_lift(f, seed)
-                    assert [x.coords for x in lift.images] == [x.coords for x in ref.images]
-                    checked = ModuleMap.from_matrix(lift.modulus, lift.target, [x.coords for x in lift.images])
+                    assert lift.columns == ref.columns
+                    checked = ModuleMap.from_matrix(lift.modulus, lift.target, lift.columns)
                     assert lift == checked == ref and hash(lift) == hash(checked)
                     key = lifted_pairing_key(m, f, lift)
                     assert key == lift_oracle.lifted_pairing_key(m, f, ref)
@@ -216,7 +230,7 @@ def test_lean_lift_matches_reference():
                     seen_none += key is None
                     seen_key += key is not None
                     j, i = rng.randrange(n), rng.randrange(g.rank)
-                    bad_cols = [list(x.coords) for x in ref.images]
+                    bad_cols = [list(c) for c in ref.columns]
                     bad_cols[j][i] = (bad_cols[j][i] + 1) % big_orders[i]
                     bad = ModuleMap.from_matrix(a, ref.target, bad_cols)
                     for route in (lifted_pairing_key, lift_oracle.lifted_pairing_key):
@@ -263,12 +277,15 @@ def test_cached_symmetry_is_invisible():
 
 
 def test_sur_star_routes_build_no_group_element(monkeypatch):
-    """Moment trials (uniform mod 9 onto Z/3|1/3) and the three Sur* routes
-    on one small matrix give the same outputs when no GroupElement can be
-    built: every route reads its maps as integer columns."""
+    """Moment trials (uniform mod 9 onto Z/3|1/3), the three Sur* routes on
+    one small matrix, and the subgroup closures behind
+    ModuleMap.image_index_avoiding, theory.depth and theory.is_robust (lifts
+    onto Z/4+Z/9, C into Z/2+Z/3) give the same outputs when no GroupElement
+    can be built: every route reads its maps as integer columns."""
     from cokpairs import groups
     from cokpairs.experiments import _moment_trial
     from cokpairs.pairings import parse_paired_group, pushforward
+    from cokpairs.theory import depth, is_robust
 
     unif = EnsembleSpec(kind=KIND_UNIFORM, n=40, seed=22, modulus=9)
     target = parse_paired_group("Z/3|1/3")
@@ -278,11 +295,20 @@ def test_sur_star_routes_build_no_group_element(monkeypatch):
     def outputs():
         columns = itertools.product(itertools.product(range(2), range(2)), repeat=m.rows)
         maps = [ModuleMap.from_matrix(4, g, cols) for cols in columns]
+        h = G(2, 3)
+        h_columns = itertools.product([(0, 0), (1, 0), (0, 1), (1, 2)], repeat=3)
+        h_maps = [ModuleMap.from_matrix(36, h, cols) for cols in h_columns]
         return (
             [_moment_trial(unif, target, t) for t in range(20)],
             sur_star_congruence_table(m, g),
             [lifted_pairing_key(m, f, random_lift(f, seed)) for seed, f in enumerate(maps)],
             [pushforward(f, src_gram) for f in enumerate_surjections(src_group, g)],
+            [f.image_index_avoiding(frozenset(range(k))) for f in maps for k in range(4)],
+            [depth(f, Fraction(2, 5)) for f in maps],
+            [
+                is_robust(random_lift(f, seed), c, Fraction(2, 3))
+                for seed, (f, c) in enumerate(zip(h_maps, reversed(h_maps)))
+            ],
         )
 
     def no_element(self):
@@ -292,8 +318,9 @@ def test_sur_star_routes_build_no_group_element(monkeypatch):
         patch.setattr(groups.GroupElement, "__post_init__", no_element)
         element_free = outputs()
     assert element_free == outputs()
-    moments, _, keys, pushed = element_free
+    moments, _, keys, pushed, indices, depths, robust = element_free
     assert any(c for _, _, c in moments) and any(keys) and pushed
+    assert set(indices) == {1, 2, 4} and set(depths) > {1} and 0 < sum(robust) < len(robust)
 
 
 def test_lifted_key_rejects_bad_matrices():

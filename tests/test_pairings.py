@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cokpairs.errors import BudgetExceeded, NotInDual, NotSymmetric
-from cokpairs.groups import FinAbGroup, enumerate_automorphisms, enumerate_surjections
+from cokpairs.groups import FinAbGroup, GroupHom, enumerate_surjections
 from cokpairs.intmat import IntMatrix, RationalVector, smith_normal_form, solve_scaled_membership
 from cokpairs.pairings import (
     PairClassId,
@@ -17,7 +17,6 @@ from cokpairs.pairings import (
     aut_preserving_count,
     canonical_pair_class,
     dual_cokernel_pairing_value,
-    enumerate_pairing_classes,
     gram_from_scaled_blocks,
     pair_isomorphic,
     pairing_class_table,
@@ -35,6 +34,11 @@ def G(*orders):
 
 def gram(g, rows):
     return PairingGram.from_fractions(g, rows)
+
+
+def identity_hom(g):
+    n = g.rank
+    return GroupHom(g, g, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
 
 
 def random_symmetric(rng, n, lo=-4, hi=4):
@@ -237,8 +241,6 @@ def test_pushforward_examples():
     pushed = pushforward(double, gram(z3, [[Fraction(1, 3)]]))
     assert pushed.entry(0, 0).value == Fraction(1, 3)  # 4/3 reduces to 1/3
 
-    from cokpairs.groups import identity_hom
-
     g = G(4, 2)
     base = gram(g, [[Fraction(1, 4), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
     assert pushforward(identity_hom(g), base) == base
@@ -344,9 +346,12 @@ def test_orbit_stabilizer():
 
 
 def test_enumerate_pairing_classes_examples():
-    assert [c.text for c in enumerate_pairing_classes(G(2), True)] == ["Z/2|1/2"]
-    assert len(enumerate_pairing_classes(G(3), True)) == 2
-    assert [c.text for c in enumerate_pairing_classes(FinAbGroup.trivial(), True)] == ["1|"]
+    def texts(g):
+        return [info.class_id.text for info in pairing_class_table(g, True)]
+
+    assert texts(G(2)) == ["Z/2|1/2"]
+    assert len(texts(G(3))) == 2
+    assert texts(FinAbGroup.trivial()) == ["1|"]
 
 
 def test_surjection_pushforward_partition():
@@ -597,7 +602,7 @@ def test_aut_matrices_match_enumerated_automorphisms():
         ((p, lam),) = g.types
         auts = [tuple(map(tuple, a)) for a in aut_matrices(p, lam).tolist()]
         assert len(auts) == len(set(auts)) == aut_order(g), g.text()
-        assert set(auts) == {phi.matrix() for phi in enumerate_automorphisms(g)}, g.text()
+        assert set(auts) == {phi.matrix() for phi in enumerate_surjections(g, g)}, g.text()
 
 
 def _orbit_minimum_text(pg, auts):
@@ -627,7 +632,7 @@ def test_orbit_index_matches_brute_force_orbits():
             PairedGroup(g, gram_from_scaled_blocks(g, {p: blk}))
             for blk in pairings._enumerate_blocks(p, lam)
         ]
-        auts = [[img.coords for img in phi.images] for phi in enumerate_automorphisms(g)]
+        auts = [[img.coords for img in phi.images] for phi in enumerate_surjections(g, g)]
         expected = [_orbit_minimum_text(pg, auts) for pg in pgs]
 
         pairings._orbit_index.clear()

@@ -6,12 +6,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from lift_oracle import standard_lift
 
 from cokpairs import rng
 from cokpairs.errors import BudgetExceeded
 from cokpairs.groups import FinAbGroup
 from cokpairs.modmaps import ModuleMap
-from cokpairs.moments import random_lift, standard_lift
+from cokpairs.moments import random_lift
 from cokpairs.pairings import PairedGroup, PairingGram
 from cokpairs.theory import (
     CensusResult,
