@@ -8,6 +8,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .ensembles import (
     CapExceeded,
@@ -71,6 +72,9 @@ def _ensemble_from_args(args) -> EnsembleSpec:
     dist = None
     alpha = None
     if args.kind == KIND_ALPHA:
+        missing = [f"--{k}" for k in ("support", "weights", "alpha") if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"--kind {KIND_ALPHA} needs {', '.join(missing)}")
         support = tuple(int(x) for x in args.support.split(","))
         weights = tuple(Fraction(x) for x in args.weights.split(","))
         dist = EntryDistribution(support, weights)
@@ -100,39 +104,35 @@ def _config_from_args(args, **fields) -> ExperimentConfig:
     )
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     spec = _ensemble_from_args(args)
     if spec.kind == KIND_ER:
-        print(sample_graph(spec, args.trial).text())
+        return lambda: print(sample_graph(spec, args.trial).text())
+    return lambda: print(format_matrix(sample_symmetric(spec, args.trial)))
+
+
+def cmd_classify(args):
+    if args.graph:
+        g = parse_graph(args.graph)
+        m = laplacian(g)
+        free_rank = connected_components(g)
     else:
-        print(format_matrix(sample_symmetric(spec, args.trial)))
-    return 0
+        m = parse_matrix(args.matrix if args.matrix is not None else sys.stdin.read())
+        if not m.rows:
+            raise ValueError("the matrix is empty")
+        free_rank = args.free_rank
+    if not m.is_symmetric():
+        raise NotSymmetric("the matrix is not symmetric")
+    if free_rank < 0:
+        raise ValueError(f"free rank must be >= 0, got {free_rank}")
+    primes = tuple(int(p) for p in args.primes.split(","))
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"a prime is repeated in {args.primes}")
+    caps = {p: default_cap(p, args.order_bound) for p in primes}
+    return partial(_classify, m, primes, caps, free_rank)
 
 
-def cmd_classify(args) -> int:
-    try:
-        if args.graph:
-            g = parse_graph(args.graph)
-            m = laplacian(g)
-            free_rank = connected_components(g)
-        else:
-            m = parse_matrix(args.matrix if args.matrix is not None else sys.stdin.read())
-            if not m.rows:
-                raise ValueError("the matrix is empty")
-            free_rank = args.free_rank
-        if not m.is_symmetric():
-            raise NotSymmetric("the matrix is not symmetric")
-        if free_rank < 0:
-            raise ValueError(f"free rank must be >= 0, got {free_rank}")
-        primes = tuple(int(p) for p in args.primes.split(","))
-        if len(set(primes)) < len(primes):
-            raise ValueError(f"a prime is repeated in {args.primes}")
-        caps = {p: default_cap(p, args.order_bound) for p in primes}
-    except ValueError as e:
-        # a malformed matrix, graph, free rank or prime list is a bad
-        # argument: one line, exit code 2
-        sys.stderr.write(f"cokpairs classify: error: {e}\n")
-        raise SystemExit(2) from None
+def _classify(m, primes, caps, free_rank) -> int:
     try:
         res = cokernel_pairing_class(m, primes, caps, free_rank)
     except BudgetExceeded as e:
@@ -146,17 +146,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_distribution(args) -> int:
+def cmd_distribution(args):
     primes = tuple(int(p) for p in args.primes.split(","))
     cfg = _config_from_args(args, primes=primes, order_bound=args.order_bound)
+    return partial(_distribution, cfg, args.plot_csv)
+
+
+def _distribution(cfg: ExperimentConfig, plot_csv: str | None) -> None:
     rep = run_distribution(cfg)
-    _print_distribution(rep)
-    if args.plot_csv:
-        emit_plot_data(rep, args.plot_csv)
-    return 0
-
-
-def _print_distribution(rep) -> None:
     print(f"# {rep.kind}: {rep.config['trials']} trials, primes {rep.config['primes']}")
     for row in rep.rows:
         if row.count or (row.predicted or 0) * rep.config["trials"] >= 1:
@@ -167,41 +164,53 @@ def _print_distribution(rep) -> None:
             )
     print(f"flagged: {rep.flagged}")
     c = rep.chi_square
-    print(f"chi2 = {c['statistic']:.2f}, df = {c['df']}, p = {c['pvalue']:.4f}")
+    pvalue = f"{c['pvalue']:.4f}" if c["pvalue"] is not None else "-"
+    print(f"chi2 = {c['statistic']:.2f}, df = {c['df']}, p = {pvalue}")
+    if plot_csv:
+        emit_plot_data(rep, plot_csv)
 
 
-def cmd_moment(args) -> int:
-    cfg = _config_from_args(args, target=args.target)
+def cmd_moment(args):
+    return partial(_moment, _config_from_args(args, target=args.target))
+
+
+def _moment(cfg: ExperimentConfig) -> None:
     rep = run_moment(cfg)
     m = rep.moment
+    stderr = f"{m['stderr']:.5f}" if m["stderr"] is not None else "-"
     print(
         f"target {m['target']}: mean = {m['mean']} ({m['mean_float']:.5f}), "
-        f"stderr = {m['stderr']:.5f}, predicted = {m['predicted']:.5f}, "
+        f"stderr = {stderr}, predicted = {m['predicted']:.5f}, "
         f"|dev| = {m['abs_deviation']:.5f}, within 3 sigma: {m['within_3_sigma']}"
     )
     print(f"flagged: {rep.flagged}")
-    return 0
 
 
-def cmd_connectivity(args) -> int:
-    cfg = _config_from_args(args)
-    rep = run_connectivity(cfg)
-    c = rep.connectivity
+def cmd_connectivity(args):
+    return partial(_connectivity, _config_from_args(args))
+
+
+def _connectivity(cfg: ExperimentConfig) -> None:
+    c = run_connectivity(cfg).connectivity
     print(
         f"connected {c['connected']}/{cfg.trials} = {c['fraction']:.5f} "
         f"[{c['ci_low']:.5f},{c['ci_high']:.5f}]"
     )
-    return 0
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args):
+    lines = []
     for p in (int(x) for x in args.primes.split(",")):
         v, tail = cl_constant(p, args.truncation)
-        print(f"p={p}: prod_k (1 - p^(1-2k)) = {v}  (tail bound {tail})")
-    return 0
+        lines.append(f"p={p}: prod_k (1 - p^(1-2k)) = {v}  (tail bound {tail})")
+    return partial(print, "\n".join(lines))
 
 
-def cmd_verify_lemmas(args) -> int:
+def cmd_verify_lemmas(args):
+    return partial(_verify_lemmas, args.seed)
+
+
+def _verify_lemmas(seed: int) -> int:
     failures = 0
     print(f"{'check':34s} {'instance':24s} {'predicted':>10s} {'observed':>10s} verdict")
 
@@ -215,7 +224,7 @@ def cmd_verify_lemmas(args) -> int:
                     tuple(1 if i == j else 0 for i in range(len(lam))) for j in range(n)
                 ]
                 f = ModuleMap.from_matrix(g.exponent**2, g, cols)
-                res = special_pair_census(f, seed=args.seed)
+                res = special_pair_census(f, seed=seed)
                 ok = res.kernel_size == res.predicted and res.d_of_a_failures == 0
                 failures += not ok
                 print(
@@ -226,7 +235,7 @@ def cmd_verify_lemmas(args) -> int:
 
     z2 = FinAbGroup.from_orders([2])
     ones = ModuleMap.from_matrix(4, z2, [(1,), (1,), (1,)])
-    ok = lift_code_check(ones, trials=20, seed=args.seed)
+    ok = lift_code_check(ones, trials=20, seed=seed)
     failures += not ok
     print(f"{'lifts keep code distance':34s} {'all-ones (Z/4)^3 -> Z/2':24s} {'true':>10s} {str(ok).lower():>10s} {'pass' if ok else 'FAIL'}")
 
@@ -294,11 +303,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_constants)
 
     args = ap.parse_args(argv)
-    if getattr(args, "kind", None) == KIND_ALPHA and not getattr(args, "config", None):
-        missing = [f"--{k}" for k in ("support", "weights", "alpha") if getattr(args, k) is None]
-        if missing:
-            ap.error(f"--kind {KIND_ALPHA} needs {', '.join(missing)}")
-    return args.func(args)
+    # each cmd_* checks its inputs and returns the work: a bad input or --config
+    # file exits with one line and code 2; an error in the work keeps its traceback
+    try:
+        work = args.func(args)
+    except (ValueError, OSError) as e:
+        sys.stderr.write(f"cokpairs {args.command}: error: {e}\n")
+        raise SystemExit(2) from None
+    return work() or 0
 
 
 if __name__ == "__main__":

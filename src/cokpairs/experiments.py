@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _pkg_version
+from .arith import require_prime
 from .ensembles import (
     EnsembleSpec,
     KIND_ER,
@@ -61,6 +62,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        for p in self.primes:
+            require_prime(p)
+        if self.target is not None:
+            parse_paired_group(self.target)
 
     def to_dict(self) -> dict:
         return {
@@ -127,16 +132,12 @@ class ExperimentReport:
             "prediction_note": self.prediction_note,
             "versions": self.versions,
         }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(d, sort_keys=True, allow_nan=False)
 
     def to_json(self) -> str:
         d = json.loads(self.canonical_json())
         d["wallclock_seconds"] = self.wallclock
-        return json.dumps(d, sort_keys=True, indent=2)
-
-
-def _versions() -> dict:
-    return {"cokpairs": _pkg_version}
+        return json.dumps(d, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _run_slice(trial_fn, static_args: tuple, trials: range) -> list:
@@ -167,7 +168,8 @@ def _finish(
     """Stamp versions and wallclock on the report, and write its .json
     summary and .jsonl trial log when config.out is set."""
     report = ExperimentReport(
-        config=config.to_dict(), versions=_versions(), wallclock=time.time() - t0, **fields
+        config=config.to_dict(), versions={"cokpairs": _pkg_version},
+        wallclock=time.time() - t0, **fields,
     )
     if config.out:
         _write_outputs(config.out, report, trial_lines)
@@ -234,7 +236,7 @@ def pooled_chi_square(counts: dict[str, int], trials: int, predicted: dict[str, 
         stat += (other_obs - other_exp) ** 2 / other_exp
     else:
         df -= 1
-    pvalue = chi2_sf(stat, df) if df >= 1 else float("nan")
+    pvalue = chi2_sf(stat, df) if df >= 1 else None
     return {
         "statistic": stat,
         "df": df,
@@ -324,11 +326,10 @@ def run_moment(config: ExperimentConfig) -> ExperimentReport:
     counts = [r[2] for r in records if r[2] is not None]
     kept = len(counts)
     mean = Fraction(sum(counts), kept) if kept else Fraction(0)
+    stderr = None
     if kept > 1:
         var = sum((Fraction(c) - mean) ** 2 for c in counts) / (kept - 1)
         stderr = math.sqrt(float(var) / kept)
-    else:
-        stderr = float("nan")
     target_value = Fraction(1, target.group.order)
     deviation = abs(float(mean - target_value))
     return _finish(
@@ -392,7 +393,7 @@ def _write_outputs(out_path: str, report: ExperimentReport, trial_lines: list[di
         fh.write(report.to_json() + "\n")
     with open(out_path + ".jsonl", "w") as fh:
         for line in trial_lines:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+            fh.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
 
 
 PLOT_HEADER = "class_id,group,gram,observed_frequency,ci_low,ci_high,predicted"

@@ -8,7 +8,8 @@ The predicted frequency of a pair class (G, delta) at primes P is
 with the infinite products truncated and bounded rigorously.  The rest of
 the module verifies, by exhaustive enumeration at small sizes, the counting
 facts the distribution proof leans on: special coefficient pairs number
-|Sym^2 H| / |G|, lifts of codes are codes, and depth-one maps are codes.
+|Sym^2 H| / |G| (a census in exact int64 products), lifts of codes are
+codes, and depth-one maps are codes.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import prod
 
+import numpy as np
+
 from . import rng
 from .arith import factorint, partitions, require_prime
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotALift
 from .groups import HOM_BUDGET, FinAbGroup, subgroup_order
 from .modmaps import ModuleMap
 from .moments import lift_codomain, random_lift
@@ -261,44 +264,25 @@ class CoefficientTable:
         return sum(1 for v in self.entries.values() if any(v.values()))
 
 
-def _census_weights(p: int, lam: tuple[int, ...], fmat):
-    """Quadratic weights: for each cell (i <= j) the vector over dcells
-    (x <= y) multiplying D_xy, all mod p^(2*lam1)."""
-    r = len(lam)
-    lam1 = lam[0]
-    mod = p ** (2 * lam1)
-    n = len(fmat[0]) if r else 0
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    dcells = [(x, y) for x in range(r) for y in range(x, r)]
-    weights = {}
-    for (i, j) in cells:
-        vec = []
-        for (x, y) in dcells:
-            scale = p ** (2 * lam1 - lam[x] - lam[y])
-            if i == j:
-                w = scale * fmat[x][i] * fmat[y][i]
-            else:
-                w = scale * (fmat[x][i] * fmat[y][j] + fmat[y][i] * fmat[x][j])
-            vec.append(w % mod)
-        weights[(i, j)] = vec
-    return cells, dcells, weights
-
-
-def _linear_terms(p: int, lam: tuple[int, ...], fmat, c_rows, cells) -> dict:
-    """The C-dependent linear part of E_ij mod p^(2*lam1), per cell (i <= j).
-
-    c_rows is the n x r digit matrix of C: digit t on the m-th embedded
-    generator means the functional value t * p^(2*lam1 - lam_m).
+def _coefficients(lift: ModuleMap, p: int, lam: tuple[int, ...]):
+    """The p-part of E as exact int64 maps (mod, L, W): E = c.L + d.W mod
+    p^(2*lam1) on the cells i <= j, row-major.  c is C's n x r digit matrix
+    read row by row (digit t on the m-th embedded generator means the value
+    t * p^(2*lam1 - lam_m)), d holds D's cells x <= y.  Every sum formed
+    from L or W stays below max(r, dcells) * mod^2 = dcells * mod^2.
     """
-    r = len(lam)
-    mod = p ** (2 * lam[0])
-    cvals = [[row[m] * p ** (2 * lam[0] - lam[m]) % mod for m in range(r)] for row in c_rows]
-    return {
-        (i, j): sum(
-            fmat[m][i] * cvals[j][m] + (i != j) * fmat[m][j] * cvals[i][m] for m in range(r)
-        ) % mod
-        for (i, j) in cells
-    }
+    r, mod = len(lam), p ** (2 * lam[0])
+    x, y = np.triu_indices(r)
+    if len(x) * mod**2 >= 2**63:
+        raise BudgetExceeded(f"coefficients mod {mod} overflow int64")
+    f = np.array(lift.block(p), dtype=np.int64)
+    i, j = np.triu_indices(f.shape[1])
+    up = p ** (2 * lam[0] - np.array(lam))  # p^(2*lam1 - lam_m)
+    w = (f[x][:, i] * f[y][:, j] % mod + (i != j) * (f[y][:, i] * f[x][:, j] % mod)) % mod
+    w = w * (up[x] * up[y] // mod)[:, None] % mod
+    k, m = np.arange(f.shape[1])[:, None, None], np.arange(r)[:, None]
+    lin = up[m] * (f[m, i] * (k == j) + f[m, j] * ((k == i) & (i != j))) % mod
+    return mod, lin.reshape(-1, len(i)), w
 
 
 def coefficient_table(lift: ModuleMap, c_digits: dict, d_matrices: dict) -> CoefficientTable:
@@ -308,22 +292,16 @@ def coefficient_table(lift: ModuleMap, c_digits: dict, d_matrices: dict) -> Coef
     t * p^(2*lam1 - lam_m) on the m-th embedded generator); d_matrices[p] is
     the upper-triangular representative, entries mod p^(2*lam1).
     """
-    big = lift.target
     n = lift.n
     entries: dict = {(i, j): {} for i in range(n) for j in range(i, n)}
-    for p, big_lam in big.types:
+    for p, big_lam in lift.target.types:
         lam = tuple(e // 2 for e in big_lam)
         r = len(lam)
-        mod = p ** (2 * lam[0])
-        fmat = lift.block(p)
-        cd = c_digits.get(p, [[0] * r for _ in range(n)])
-        dm = d_matrices.get(p, [[0] * r for _ in range(r)])
-        cells, dcells, weights = _census_weights(p, lam, fmat)
-        lin = _linear_terms(p, lam, fmat, cd, cells)
-        dvec = [dm[x][y] % mod for (x, y) in dcells]
-        for cell in cells:
-            quad = sum(d * w for d, w in zip(dvec, weights[cell]))
-            entries[cell][p] = (lin[cell] + quad) % mod
+        mod, lin, w = _coefficients(lift, p, lam)
+        c = np.array(c_digits.get(p, [[0] * r] * n), dtype=np.int64).reshape(-1) % p ** lam[0]
+        d = np.array(d_matrices.get(p, [[0] * r] * r), dtype=np.int64)[np.triu_indices(r)] % mod
+        for cell, e in zip(entries, ((c @ lin % mod + d @ w % mod) % mod).tolist()):
+            entries[cell][p] = e
     return CoefficientTable(n, entries)
 
 
@@ -337,87 +315,55 @@ class CensusResult:
 
 
 def special_pair_census(
-    f: ModuleMap,
-    lift: ModuleMap | None = None,
-    seed: int = 0,
-    space_budget: int = 10**7,
-    collect_min_nonzero: bool = False,
+    f: ModuleMap, lift: ModuleMap | None = None, seed: int = 0, space_budget: int = 10**7
 ) -> CensusResult:
     """Exhaustively enumerate coefficient pairs (C, D) for a lift of the
     surjection f, count those whose coefficients all vanish, and check the
     predicted count |Sym^2 H| / |G| together with D(-A) = 0 on each.
 
-    The census runs per prime (the spaces are independent across primes);
-    kernel sizes multiply.
+    Per prime (kernel sizes multiply), E over the whole D space for one C
+    is one comparison of -L(C) with the products D.W, which also gives the
+    fewest nonzero cells of a non-special pair.
     """
     group = f.target
     if lift is None:
         lift = random_lift(f, rng.stream(seed).u64())
-    if lift.target != lift_codomain(group):
-        raise ValueError("lift has the wrong codomain")
+    if lift.target != lift_codomain(group) or ModuleMap(f.modulus, group, lift.columns) != f:
+        raise NotALift("lift is not a lift of f to the enlarged group")
     if not lift.surjective_avoiding():
         raise ValueError("census requires a surjective lift")
 
-    n = f.n
-    space = 1
-    for p, lam in group.types:
-        r = len(lam)
-        space *= group.sylow({p}).order ** n * p ** (2 * lam[0] * r * (r + 1) // 2)
+    n, cells = f.n, f.n * (f.n + 1) // 2
+    space = prod(p ** (n * sum(lam) + lam[0] * len(lam) * (len(lam) + 1)) for p, lam in group.types)
     if space > space_budget:
         raise BudgetExceeded(f"census space {space} exceeds budget {space_budget}")
+    coefficients = [_coefficients(lift, p, lam) for p, lam in group.types]
 
-    kernel_size = 1
-    predicted = 1
-    pairing_checks = 0
-    d_of_a_failures = 0
-    min_nonzero: int | None = None
-    for p, lam in group.types:
-        r = len(lam)
-        lam1 = lam[0]
-        mod = p ** (2 * lam1)
-        fmat = lift.block(p)
-        cells, dcells, weights = _census_weights(p, lam, fmat)
-        gsize = p ** sum(lam)
-        predicted_p = p ** (2 * lam1 * r * (r + 1) // 2) // gsize
-        predicted *= predicted_p
-
-        c_digit_ranges = [range(p ** lam[m]) for m in range(r)]
-        c_space = list(itertools.product(*[
-            itertools.product(*c_digit_ranges) for _ in range(n)
-        ]))
-        d_space = list(itertools.product(*[range(mod) for _ in dcells]))
-
-        # pairing data tuples a_xy (x <= y), each mod p^lam_y, for D(-A) checks
-        a_space = list(itertools.product(*[range(p ** lam[y]) for (x, y) in dcells]))
-
-        kernel_p = 0
-        for c_rows in c_space:
-            lin = _linear_terms(p, lam, fmat, c_rows, cells)
-            for dvec in d_space:
-                nonzero = 0
-                for cell in cells:
-                    w = weights[cell]
-                    e = (lin[cell] + sum(d * ww for d, ww in zip(dvec, w))) % mod
-                    if e:
-                        nonzero += 1
-                        if not collect_min_nonzero:
-                            break
-                if nonzero == 0:
-                    kernel_p += 1
-                    # D(-A) = 0 for every pairing assignment
-                    for avec in a_space:
-                        pairing_checks += 1
-                        tot = 0
-                        for (x, y), d, va in zip(dcells, dvec, avec):
-                            tot += p ** (2 * lam1 - lam[y]) * va * d
-                        if tot % mod:
-                            d_of_a_failures += 1
-                elif collect_min_nonzero:
-                    if min_nonzero is None or nonzero < min_nonzero:
-                        min_nonzero = nonzero
-        kernel_size *= kernel_p
-
-    return CensusResult(kernel_size, predicted, pairing_checks, d_of_a_failures, min_nonzero)
+    kernel_size = predicted = 1
+    pairing_checks = d_of_a_failures = 0
+    fewest = cells + 1  # fewest nonzero cells of a non-special pair, if any
+    for (p, lam), (mod, lin, w) in zip(group.types, coefficients):
+        r, lam_m = len(lam), np.array(lam)
+        predicted *= p ** (lam[0] * r * (r + 1)) // p ** sum(lam)
+        c_space = np.indices(np.tile(p**lam_m, n)).reshape(n * r, -1)
+        d_space = np.indices((mod,) * len(w)).reshape(len(w), -1)
+        neg_lin, dw = -(c_space.T @ lin) % mod, d_space.T @ w % mod
+        hits = np.zeros(len(dw), dtype=np.int64)  # per D, the Cs with (C, D) special
+        for row in neg_lin:
+            count = np.count_nonzero(dw != row, axis=1)
+            hits += count == 0
+            fewest = min(fewest, int(count.min(initial=fewest, where=count > 0)))
+        # D(-A) = sum_{x <= y} p^(2*lam1 - lam_y) a_xy d_xy over the pairing
+        # data a_xy mod p^lam_y, on the D rows of special pairs only
+        a_radix = p ** lam_m[np.triu_indices(r)[1]]
+        a_space = np.indices(a_radix).reshape(len(w), -1) * (mod // a_radix)[:, None]
+        hit = np.flatnonzero(hits)
+        failing = np.count_nonzero(d_space[:, hit].T @ a_space % mod, axis=1)
+        d_of_a_failures += int(hits[hit] @ failing)
+        kernel_size *= int(hits.sum())
+        pairing_checks += int(hits.sum()) * a_space.shape[1]
+    least = fewest if fewest <= cells else None
+    return CensusResult(kernel_size, predicted, pairing_checks, d_of_a_failures, least)
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,72 @@ def test_constants(capsys):
     assert "0.41942" in out
 
 
-def test_constants_reject_non_primes():
+def test_constants_reject_non_primes(capsys):
     for primes in ("4", "6", "2,4"):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             main(["constants", "--primes", primes])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"cokpairs constants: error: {primes[-1]} is not a prime\n"
+
+
+ALPHA = ["--kind", "alpha_balanced", "--modulus", "2", "--support", "0,1"]
+BAD_ENSEMBLE = [
+    ["--n", "0"],
+    ["--q", "1.5"],
+    ["--kind", "uniform_mod_a", "--modulus", "1"],
+    ["--kind", "uniform_mod_a", "--modulus", str(2**64 + 1)],
+    ["--kind", "alpha_balanced", "--modulus", "1", "--support", "0,1", "--weights", "1/2,1/2", "--alpha", "1/2"],
+    [*ALPHA, "--weights", "1/2,1/3", "--alpha", "1/2"],
+    [*ALPHA, "--weights", f"1/{2**65},{2**65 - 1}/{2**65}", "--alpha", "1/2"],
+    [*ALPHA, "--weights", "1/2,1/2", "--alpha", "3/4"],
+    [*ALPHA, "--weights", "1/2,1/2", "--alpha", "x"],
+    [*ALPHA, "--weights", "1/2,1/2"],
+]
+BAD_RUN = [["--trials", "0"], ["--jobs", "0"]]
+BAD_INPUTS = (
+    [["sample", *bad] for bad in BAD_ENSEMBLE]
+    + [
+        [sub, "--trials", "1", *bad]  # a later flag wins, so a missed check runs one trial
+        for sub in ("distribution", "moment", "connectivity")
+        for bad in BAD_ENSEMBLE + BAD_RUN
+    ]
+    + [
+        ["distribution", "--primes", "4"],
+        ["distribution", "--primes", "2,x"],
+        ["moment", "--target", "Z/2|1/3"],
+        ["constants", "--truncation", "0"],
+        ["connectivity", "--config", "no/such/config.json"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_every_subcommand_reports_a_bad_input_in_one_line(argv, capsys):
+    # each used to end in a ValueError traceback with exit code 1, except an
+    # alpha ensemble without --alpha, which printed argparse's usage lines
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"cokpairs {argv[0]}: error: ")
+
+
+def test_runs_without_a_pvalue_or_stderr_print_a_dash(capsys):
+    code, out = run_cli(capsys, "distribution", "--n", "1", "--trials", "3")
+    assert code == 0 and out.splitlines()[-1].endswith("df = 0, p = -")
+    code, out = run_cli(capsys, "moment", "--n", "4", "--trials", "1")
+    assert code == 0 and "stderr = -," in out
+
+
+def test_an_error_inside_a_run_keeps_its_traceback(monkeypatch):
+    def fail(*args):
+        raise ValueError("raised by a trial")
+
+    monkeypatch.setattr("cokpairs.experiments._connected_trial", fail)
+    with pytest.raises(ValueError, match="raised by a trial"):
+        main(["connectivity", "--n", "3", "--trials", "2"])
 
 
 def test_distribution_smoke(capsys, tmp_path):

@@ -152,8 +152,9 @@ def test_ensembles_reject_n_below_one():
             EnsembleSpec(kind=KIND_UNIFORM, n=n, seed=1, modulus=2)
         with pytest.raises(ValueError):
             ERParams(n, 0.5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:  # a bad argument: one line, exit code 2
         main(["sample", "--n", "-5"])
+    assert exc.value.code == 2
 
 
 def test_ensemble_ranges_beyond_below_are_rejected():

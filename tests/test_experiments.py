@@ -104,6 +104,31 @@ def test_moment_report(tmp_path):
     assert set(lines[0]) == {"trial", "seed", "group", "gram", "count"}
 
 
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path):
+    """A distribution run with df = 0 has no p-value and a one-trial moment
+    run no stderr: both are null in canonical_json, PREFIX.json and
+    PREFIX.jsonl (at the parent they were a bare NaN)."""
+    out = str(tmp_path / "dist")
+    spec = EnsembleSpec(kind=KIND_ER, n=1, seed=0, q=0.5)
+    dist = run_distribution(ExperimentConfig(ensemble=spec, trials=3, out=out))
+    assert dist.chi_square["df"] == 0 and dist.chi_square["pvalue"] is None
+    moment = run_moment(ExperimentConfig(ensemble=spec, trials=1, out=out + "m", target="Z/2|1/2"))
+    assert moment.moment["stderr"] is None
+    for rep, prefix in ((dist, out), (moment, out + "m")):
+        _strict_json(rep.canonical_json())
+        with open(prefix + ".json") as fh:
+            assert _strict_json(fh.read())["kind"] == rep.kind
+        with open(prefix + ".jsonl") as fh:
+            assert [_strict_json(line) for line in fh]
+
+
 def test_moment_deterministic():
     cfg = ExperimentConfig(
         ensemble=EnsembleSpec(kind=KIND_ER, n=12, seed=5, q=0.5),

@@ -1,15 +1,17 @@
 """Constants, predictions, mass accounting, and the lemma checkers."""
 
+import dataclasses
 import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
 
+import census_oracle
 import pytest
 from lift_oracle import standard_lift
 
 from cokpairs import rng
-from cokpairs.errors import BudgetExceeded
+from cokpairs.errors import BudgetExceeded, NotALift
 from cokpairs.groups import FinAbGroup
 from cokpairs.modmaps import ModuleMap
 from cokpairs.moments import random_lift
@@ -233,7 +235,7 @@ def test_special_pair_census_grid():
             res.pairing_checks // res.kernel_size
         )
         special, checks = CENSUS_PINNED[(p, lam, n)]
-        assert res == CensusResult(special, special, checks, 0, None), (p, lam, n)
+        assert res == CensusResult(special, special, checks, 0, 1), (p, lam, n)
 
 
 def test_census_examples():
@@ -253,11 +255,57 @@ def test_census_rejects_nonsurjective_lift():
         special_pair_census(f, seed=0)
 
 
+def test_census_rejects_a_lift_of_another_map():
+    # at the parent the first lift gave the census of (2, 1) and the second
+    # ended in an IndexError
+    f = ModuleMap.from_matrix(9, G(3), [(1,), (0,)])
+    for columns in ([(2,), (4,)], [(1,), (3,), (1,)]):
+        with pytest.raises(NotALift):
+            special_pair_census(f, lift=ModuleMap.from_matrix(9, G(9), columns))
+
+
 def test_census_budget():
     g = G(4, 4)
     f = surjective_module_map(g, 3)
     with pytest.raises(BudgetExceeded):
         special_pair_census(f, space_budget=10)
+
+
+def test_coefficients_refuse_residues_that_overflow_int64():
+    f = surjective_module_map(G(2**32), 1)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        special_pair_census(f, space_budget=2**200)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        coefficient_table(standard_lift(f), {}, {})
+
+
+def test_census_matches_the_scalar_oracle():
+    """The full CensusResult equals the plain enumeration's, with random
+    lifts, on the grid, on Z/4+Z/2 (the one type here whose parts differ)
+    and on 24 random surjective maps (p = 2, 3, 5 and Z/2+Z/3).  The scalar
+    side skips the minimum on Z/4+Z/2 and on the grid's p = 3, n = 3 with
+    lam = (2,) and (1, 1), where collecting it costs about 3.9 s; the grid
+    test pins the grid's minima."""
+    rand = random.Random(2021)
+    maps = [surjective_module_map(FinAbGroup.from_prime_types({p: lam}), n) for p, lam, n in census_grid()]
+    maps.append(surjective_module_map(G(4, 2), 2))
+    slow = {maps[9], maps[11], maps[12]}
+    targets = [G(2), G(4), G(2, 2), G(3), G(9), G(5), G(2, 3)]
+    while len(maps) < 37:
+        g = rand.choice(targets)
+        n = rand.randint(g.rank, 2 if g.order == 9 else 3)
+        f = ModuleMap.from_matrix(
+            g.exponent**2, g, [[rand.randrange(o) for o in g.generator_orders] for _ in range(n)]
+        )
+        if f.surjective_avoiding():
+            maps.append(f)
+    for f in maps:
+        lift = random_lift(f, rand.getrandbits(64))
+        res = special_pair_census(f, lift=lift)
+        want = census_oracle.special_pair_census(f, lift, collect_min_nonzero=f not in slow)
+        if f in slow:
+            res = dataclasses.replace(res, min_nonzero_nonspecial=None)
+        assert res == want, (f.target.text(), f.columns, lift.columns)
 
 
 def test_nonspecial_pairs_have_many_nonzero_coefficients():
@@ -270,7 +318,7 @@ def test_nonspecial_pairs_have_many_nonzero_coefficients():
         f = surjective_module_map(g, n)
         lift = standard_lift(f)
         w = code_distance(lift)
-        res = special_pair_census(f, lift=lift, collect_min_nonzero=True)
+        res = special_pair_census(f, lift=lift)
         special, checks = CENSUS_PINNED[(p, lam, n)]
         assert res == CensusResult(special, special, checks, 0, 1), (p, lam, n)
         if res.min_nonzero_nonspecial is not None:
