@@ -106,6 +106,8 @@ def _config_from_args(args, **fields) -> ExperimentConfig:
 
 def cmd_sample(args):
     spec = _ensemble_from_args(args)
+    if args.trial < 0:
+        raise ValueError(f"trial must be >= 0, got {args.trial}")
     if spec.kind == KIND_ER:
         return lambda: print(sample_graph(spec, args.trial).text())
     return lambda: print(format_matrix(sample_symmetric(spec, args.trial)))
@@ -187,7 +189,10 @@ def _moment(cfg: ExperimentConfig) -> None:
 
 
 def cmd_connectivity(args):
-    return partial(_connectivity, _config_from_args(args))
+    cfg = _config_from_args(args)
+    if cfg.ensemble.kind != KIND_ER:
+        raise ValueError("connectivity runs need an ER ensemble")
+    return partial(_connectivity, cfg)
 
 
 def _connectivity(cfg: ExperimentConfig) -> None:

@@ -20,10 +20,15 @@ the 2-part is trivial without the reduction: the kernel would take n - f
 unit pivots, and those f vectors, independent mod 2, force the remaining
 f x f block to zero mod 2^(2k).  A tensor quotient whose presentation has
 full rank mod 2 is trivial the same way.  Odd p always takes the reduction.
+
+Each pivot search tests the top row of the active block for a unit before
+it scans the whole block.  A row update reduces with a bit mask at p = 2,
+and by a lookup in a residue table at odd p with p^K <= 2^8.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,9 +84,23 @@ def _rem(x, p, e):
     return x & (2**e - 1) if p == 2 else x % p**e
 
 
+@functools.lru_cache(maxsize=16)
+def _residue_table(mod):
+    """d mod `mod` at index d + (mod - 1)^2, for every d in
+    [-(mod - 1)^2, mod - 1]: the range of a - q b over residues a, q, b."""
+    table = np.arange(-((mod - 1) ** 2), mod, dtype=np.int64) % mod
+    table.flags.writeable = False  # one array serves every caller
+    return table
+
+
 def _least_valuation(block, p, big_k):
     """(e, i, j): the first row-major entry of least p-adic valuation e in
-    block (residues mod p^big_k), or None when the block is zero."""
+    block (residues mod p^big_k), or None when the block is zero.  A unit in
+    row 0 is that entry, so row 0 is tested before the whole block."""
+    units = _rem(block[0], p, 1) != 0
+    j = int(units.argmax())
+    if units[j]:
+        return 0, 0, j
     for e in range(big_k):
         hits = _rem(block, p, e + 1) != 0
         k = int(hits.argmax())
@@ -99,10 +118,13 @@ def _padic_snf(a, p, big_k):
     rows of u a are zero mod p^big_k.  a and u are reduced side by side as
     one array [a | u], so each row operation is one numpy call.  Left of the
     pivot column the active rows are already zero, so row updates touch only
-    the active columns; pivot rows are never read again.
+    the active columns; pivot rows are never read again.  At odd p with
+    int64 residues and p^big_k <= 2^8 a row update reads its residues from
+    _residue_table instead of dividing.
     """
     nrows, ncols = a.shape
     mod = p**big_k
+    table = _residue_table(mod) if p != 2 and mod <= 2**8 and a.dtype == np.int64 else None
     au = np.hstack([a, np.eye(nrows, dtype=a.dtype)])
     exps = []
     for t in range(min(nrows, ncols)):
@@ -119,7 +141,8 @@ def _padic_snf(a, p, big_k):
         if inv != 1:
             au[t, t:] = _rem(au[t, t:] * inv, p, big_k)
         q = au[t + 1 :, t, None] // pk if e else au[t + 1 :, t, None]  # read before written
-        au[t + 1 :, t:] = _rem(au[t + 1 :, t:] - q * au[t, t:], p, big_k)
+        d = au[t + 1 :, t:] - q * au[t, t:]
+        au[t + 1 :, t:] = _rem(d, p, big_k) if table is None else table.take(d + (mod - 1) ** 2)
         exps.append(e)
     return exps, au[:, ncols:]
 
@@ -447,6 +470,8 @@ def cokernel_pairing_class(
 def default_cap(p: int, order_bound: int) -> int:
     """Exponent cap lam1_max + 2 for groups of order <= order_bound."""
     require_prime(p)
+    if order_bound < 1:
+        raise ValueError(f"order bound must be >= 1, got {order_bound}")
     lam1 = 0
     q = p
     while q <= order_bound:

@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.order_bound < 1:
+            raise ValueError("order_bound must be >= 1")
         for p in self.primes:
             require_prime(p)
         if self.target is not None:

@@ -138,6 +138,10 @@ BAD_INPUTS = (
         ["moment", "--target", "Z/2|1/3"],
         ["constants", "--truncation", "0"],
         ["connectivity", "--config", "no/such/config.json"],
+        ["connectivity", "--trials", "1", "--kind", "uniform_mod_a", "--n", "3"],
+        ["distribution", "--trials", "1", "--order-bound", "0"],
+        ["classify", "--matrix", "2", "--order-bound", "-1"],
+        ["sample", "--trial", "-1"],
     ]
 )
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from padic_oracle import _padic_snf_reference
 
 from cokpairs.ensembles import (
     CapExceeded,
@@ -24,6 +25,7 @@ from cokpairs.ensembles import (
     cokernel_pairing_class,
     default_cap,
     quotient_dual_pairing,
+    sample_array,
     sample_graph,
     sample_symmetric,
     sylow_paired_group,
@@ -128,6 +130,8 @@ def test_default_cap():
     assert default_cap(2, 64) == 8
     assert default_cap(3, 27) == 5
     assert default_cap(5, 4) == 2
+    with pytest.raises(ValueError, match="order bound"):
+        default_cap(2, 0)  # used to give cap 2
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6])
@@ -582,62 +586,6 @@ def test_spec_serialization_roundtrip():
         assert EnsembleSpec.from_dict(spec.to_dict()) == spec
 
 
-def _padic_snf_reference(a, nrows, ncols, p, big_k):
-    """The list-loop p-adic Smith reduction the numpy kernel replaces.
-
-    a is a list of row lists, entries reduced mod p^big_k, reduced in
-    place.  Pivot: the first row-major entry of least valuation in the
-    active block.  Returns (exponents, u) with u the row transform, a list.
-    """
-    mod = p**big_k
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    exps = []
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        best_i = best_j = -1
-        best_v = big_k
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x:
-                    vv = 0
-                    while x % p == 0:
-                        x //= p
-                        vv += 1
-                    if vv < best_v:
-                        best_i, best_j, best_v = i, j, vv
-                        if vv == 0:
-                            break
-            if best_v == 0:
-                break
-        if best_i < 0:
-            break
-        if best_i != t:
-            a[t], a[best_i] = a[best_i], a[t]
-            u[t], u[best_i] = u[best_i], u[t]
-        if best_j != t:
-            for row in a:
-                row[t], row[best_j] = row[best_j], row[t]
-        pk = p**best_v
-        unit = a[t][t] // pk
-        inv = pow(unit, -1, mod)
-        if inv != 1:
-            a[t] = [x * inv % mod for x in a[t]]
-            u[t] = [x * inv % mod for x in u[t]]
-        at = a[t]
-        for i in range(t + 1, nrows):
-            x = a[i][t]
-            if x:
-                q = x // pk
-                a[i] = [(y - q * z) % mod for y, z in zip(a[i], at)]
-                u[i] = [(y - q * z) % mod for y, z in zip(u[i], u[t])]
-        exps.append(best_v)
-        t += 1
-    return exps, u
-
-
 def _assert_kernel_matches_reference(rows, p, big_k):
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -654,16 +602,52 @@ def test_padic_kernel_matches_reference_on_random_inputs():
     on rectangular inputs with entries scaled by powers of p, so that
     non-unit pivots and all-p-divisible blocks occur."""
     rng = random.Random(31)
-    for _ in range(300):
-        p = rng.choice((2, 3, 5))
-        big_k = rng.randint(1, 8)
+
+    def rows(p):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         scale = p ** rng.randint(0, 3)
-        rows = [
+        return [
             [rng.randint(-60, 60) * p ** rng.randint(0, 2) * scale for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        _assert_kernel_matches_reference(rows, p, big_k)
+
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        big_k = rng.randint(1, 8)
+        _assert_kernel_matches_reference(rows(p), p, big_k)
+    # p = 7, and the moduli 49, 121 and 169 of the residue table
+    for p, big_k in [(7, k) for k in range(1, 9)] * 10 + [(7, 2), (11, 2), (13, 2)] * 30:
+        _assert_kernel_matches_reference(rows(p), p, big_k)
+
+
+def test_padic_kernel_matches_reference_without_a_unit_in_the_pivot_row():
+    """Row 0 of the block has no unit mod p, so the pivot comes from the scan
+    of the whole block: a unit in a later row, or, when p divides every
+    entry, a pivot of valuation e >= 1."""
+    rng = random.Random(34)
+    first = set()
+    for p, big_k in ((2, 4), (3, 2), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)):
+        for _ in range(12):
+            nrows, ncols = rng.randint(2, 7), rng.randint(1, 7)
+            low = rng.randint(0, 1)  # 1: p divides every entry
+            rows = [
+                [rng.randrange(p**big_k) * p ** rng.randint(max(low, i == 0), 2) for _ in range(ncols)]
+                for i in range(nrows)
+            ]
+            _assert_kernel_matches_reference(rows, p, big_k)
+            exps, _ = _padic_snf(_residues(rows, (nrows, ncols), p**big_k), p, big_k)
+            first.add(exps[0] if exps else None)
+    assert {0, 1, 2} <= first
+
+
+def test_padic_kernel_matches_reference_on_uniform_mod_9_draws():
+    """Uniform mod-9 draws at n = 40, a moment run's inputs, reduced mod 9 at
+    p = 3: square, and in the zero-sum (n - 1) x n shape of a quotient."""
+    spec = EnsembleSpec(kind=KIND_UNIFORM, n=40, seed=42, modulus=9)
+    for t in range(25):
+        rows = sample_array(spec, t).tolist()
+        _assert_kernel_matches_reference(rows, 3, 2)
+        _assert_kernel_matches_reference(rows[:-1], 3, 2)
 
 
 def test_padic_kernel_matches_reference_on_large_entries():
